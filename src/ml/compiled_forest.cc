@@ -204,6 +204,11 @@ void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
 void CompiledForest::PredictBatchWith(ForestKernel kernel, const double* rows,
                                       size_t num_rows, size_t stride,
                                       double* out) const {
+  // A vector kernel gets only the rows that fill its lockstep groups; the
+  // remainder (every row of a batch narrower than one group) walks the
+  // scalar kernel. Each row accumulates independently, in boosting order,
+  // so the split is bit-identical to any single kernel.
+  size_t whole = 0;
 #if defined(RESEST_HAVE_AVX2_KERNEL) && !defined(RESEST_EXACT_PREDICT)
   // Both vector kernels address feature values with 32-bit offsets; batches
   // past that range (not reachable through the serving layer's batch cap)
@@ -212,17 +217,20 @@ void CompiledForest::PredictBatchWith(ForestKernel kernel, const double* rows,
       num_rows * stride <=
       static_cast<size_t>(std::numeric_limits<int32_t>::max());
   if (kernel == ForestKernel::kAvx512 && Avx512Supported() && offsets_fit) {
-    PredictBatchAvx512(rows, num_rows, stride, out);
-    return;
-  }
-  if (kernel == ForestKernel::kAvx2 && Avx2Supported() && offsets_fit) {
-    PredictBatchAvx2(rows, num_rows, stride, out);
-    return;
+    whole = num_rows - num_rows % 16;
+    if (whole > 0) PredictBatchAvx512(rows, whole, stride, out);
+  } else if (kernel == ForestKernel::kAvx2 && Avx2Supported() &&
+             offsets_fit) {
+    whole = num_rows - num_rows % 8;
+    if (whole > 0) PredictBatchAvx2(rows, whole, stride, out);
   }
 #else
   (void)kernel;
 #endif
-  PredictBatchScalar(rows, num_rows, stride, out);
+  if (whole < num_rows) {
+    PredictBatchScalar(rows + whole * stride, num_rows - whole, stride,
+                       out + whole);
+  }
 }
 
 void CompiledForest::PredictBatchScalar(const double* rows, size_t num_rows,
@@ -359,49 +367,38 @@ __attribute__((target("avx2"))) inline void Avx2WalkGroups(
 __attribute__((target("avx2")))
 void CompiledForest::PredictBatchAvx2(const double* rows, size_t num_rows,
                                       size_t stride, double* out) const {
+  // num_rows is a multiple of 8 (PredictBatchWith hands the remainder to
+  // the scalar kernel).
   for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
   const HotNode* nodes = nodes_.data();
   // 4 interleaved groups of 8 = 32 rows in flight per tree.
   constexpr size_t kGroups = 4;
   const size_t num_trees = roots_.size();
-  // Leaves evaluate scalar, per row in order: the accumulation stays one
-  // mul + one add per tree in the double domain (no FMA), so each out[r]
-  // is bit-identical to the scalar kernel and to Predict.
-  auto accumulate = [&](size_t r, size_t count, const int32_t* leaf) {
-    for (size_t k = 0; k < count; ++k) {
-      const size_t i = static_cast<size_t>(leaf[k]);
-      const double* x = rows + (r + k) * stride;
-      double v = value_[i];
-      if (lin_feature_[i] >= 0) {
-        v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
-      }
-      out[r + k] += learning_rate_ * v;
-    }
-  };
   for (size_t t = 0; t < num_trees; ++t) {
     const int32_t root = roots_[t];
     const int32_t depth = depths_[t];
     alignas(32) int32_t leaf[8 * kGroups];
-    size_t r = 0;
-    for (; r + 8 * kGroups <= num_rows; r += 8 * kGroups) {
-      Avx2WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 8 * kGroups, leaf);
-    }
-    for (; r + 8 <= num_rows; r += 8) {
-      Avx2WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 8, leaf);
-    }
-    for (; r < num_rows; ++r) {
-      const double* x = rows + r * stride;
-      size_t i = static_cast<size_t>(root);
-      for (int32_t d = depth; d > 0; --d) {
-        i = Step(i, x, nodes);
+    for (size_t r = 0; r < num_rows;) {
+      size_t count = 8 * kGroups;
+      if (r + count <= num_rows) {
+        Avx2WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
+      } else {
+        count = 8;
+        Avx2WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
       }
-      double v = value_[i];
-      if (lin_feature_[i] >= 0) {
-        v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
+      // Leaves evaluate scalar, per row in order: one mul + one add per
+      // tree in the double domain (this file builds with
+      // -ffp-contract=off), so each out[r] is bit-identical to the scalar
+      // kernel and to Predict.
+      for (size_t k = 0; k < count; ++k, ++r) {
+        const size_t i = static_cast<size_t>(leaf[k]);
+        const double* x = rows + r * stride;
+        double v = value_[i];
+        if (lin_feature_[i] >= 0) {
+          v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
+        }
+        out[r] += learning_rate_ * v;
       }
-      out[r] += learning_rate_ * v;
     }
   }
 }
@@ -487,68 +484,42 @@ Avx512WalkGroups(const CompiledForest::HotNode* nodes, const double* rows,
 }
 }  // namespace
 
-namespace {
-/// Leaf accumulation for the AVX-512 kernel's epilogue — deliberately a
-/// separate noinline function with NO vector target attribute. The avx512f
-/// target enables EVEX FMA, and under GCC's default -ffp-contract=fast an
-/// inline `out += lr * v` inside the kernel body contracts into one fused
-/// rounding, silently breaking bit identity with the scalar walk (a ~1-ulp
-/// drift that only shows over a long boosting sum). The default target has
-/// no FMA, so compiling the accumulation here keeps the mul and add as two
-/// roundings, exactly like the scalar kernel and Predict. (The AVX2 kernel
-/// is immune: target("avx2") carries no FMA.)
-__attribute__((noinline)) void AccumulateLeavesNoFma(
-    const float* value, const int16_t* lin_feature, const float* slope,
-    double learning_rate, const double* rows, size_t stride, size_t r,
-    size_t count, const int32_t* leaf, double* out) {
-  for (size_t k = 0; k < count; ++k) {
-    const size_t i = static_cast<size_t>(leaf[k]);
-    const double* x = rows + (r + k) * stride;
-    double v = value[i];
-    if (lin_feature[i] >= 0) {
-      v += slope[i] * x[static_cast<size_t>(lin_feature[i])];
-    }
-    out[r + k] += learning_rate * v;
-  }
-}
-}  // namespace
-
 __attribute__((target("avx512f,avx512vl,avx512dq")))
 void CompiledForest::PredictBatchAvx512(const double* rows, size_t num_rows,
                                         size_t stride, double* out) const {
+  // num_rows is a multiple of 16 (PredictBatchWith hands the remainder to
+  // the scalar kernel), so no row ever leaves this function's ISA: a call
+  // into non-VEX SSE code from here would pay the SSE/AVX transition
+  // penalty per tree.
   for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
   const HotNode* nodes = nodes_.data();
   // 2 interleaved groups of 16 = 32 rows in flight per tree, matching the
   // AVX2 kernel's blocking so the two kernels see identical cache behavior.
   constexpr size_t kGroups = 2;
   const size_t num_trees = roots_.size();
-  auto accumulate = [&](size_t r, size_t count, const int32_t* leaf) {
-    AccumulateLeavesNoFma(value_.data(), lin_feature_.data(), slope_.data(),
-                          learning_rate_, rows, stride, r, count, leaf, out);
-  };
   for (size_t t = 0; t < num_trees; ++t) {
     const int32_t root = roots_[t];
     const int32_t depth = depths_[t];
     alignas(64) int32_t leaf[16 * kGroups];
-    size_t r = 0;
-    for (; r + 16 * kGroups <= num_rows; r += 16 * kGroups) {
-      Avx512WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 16 * kGroups, leaf);
-    }
-    for (; r + 16 <= num_rows; r += 16) {
-      Avx512WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 16, leaf);
-    }
-    for (; r < num_rows; ++r) {
-      const double* x = rows + r * stride;
-      size_t i = static_cast<size_t>(root);
-      for (int32_t d = depth; d > 0; --d) {
-        i = Step(i, x, nodes);
+    for (size_t r = 0; r < num_rows;) {
+      size_t count = 16 * kGroups;
+      if (r + count <= num_rows) {
+        Avx512WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
+      } else {
+        count = 16;
+        Avx512WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
       }
-      // Through the noinline helper even for one row: an inline mul+add
-      // here would FMA-contract under this function's avx512f target.
-      leaf[0] = static_cast<int32_t>(i);
-      accumulate(r, 1, leaf);
+      // The avx512f target enables FMA; -ffp-contract=off on this file
+      // keeps the mul and add two roundings, as in the scalar kernel.
+      for (size_t k = 0; k < count; ++k, ++r) {
+        const size_t i = static_cast<size_t>(leaf[k]);
+        const double* x = rows + r * stride;
+        double v = value_[i];
+        if (lin_feature_[i] >= 0) {
+          v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
+        }
+        out[r] += learning_rate_ * v;
+      }
     }
   }
 }

@@ -33,17 +33,23 @@
 //    level target attribute + cpuid gating; preferred over kAvx2 when the
 //    CPU has it, overridable with RESEST_SIMD=avx512|avx2|scalar.
 //
+// A vector kernel only ever sees whole lockstep groups: PredictBatchWith
+// hands it the first num_rows - num_rows % width rows and walks the
+// remainder with kScalar, so a batch narrower than one group never enters
+// vector code (and never pays its set-up or an ISA transition).
+//
 // Bit-identity contract: Predict and PredictBatch reproduce the legacy
-// per-tree scalar path (Mart::PredictReference) byte for byte — in BOTH
-// kernels. Comparisons happen in the double domain (the float32 threshold
+// per-tree scalar path (Mart::PredictReference) byte for byte — in EVERY
+// kernel. Comparisons happen in the double domain (the float32 threshold
 // is widened exactly), and each row's accumulation f0 + sum_i lr * tree_i(x)
-// runs scalar, in boosting order, with no FMA contraction; the vector code
-// only computes leaf indices, which are integers and either exactly right
-// or a bug. Defining RESEST_EXACT_PREDICT (CMake option of the same name)
-// additionally pins every batch entry point to the scalar reference-order
-// kernel, so the bit-identity oracle suite enforces the contract without
-// trusting any SIMD kernel — the escape hatch for a future kernel that
-// does reassociate.
+// runs scalar, in boosting order, with no FMA contraction (compiled_forest.cc
+// builds with -ffp-contract=off, because the AVX-512 target enables FMA);
+// the vector code only computes leaf indices, which are integers and either
+// exactly right or a bug. Defining RESEST_EXACT_PREDICT (CMake option of
+// the same name) additionally pins every batch entry point to the scalar
+// reference-order kernel, so the bit-identity oracle suite enforces the
+// contract without trusting any SIMD kernel — the escape hatch for a
+// future kernel that does reassociate.
 //
 // Immutability: Compile() fully builds the representation; afterwards all
 // methods are const and touch no mutable state, so a compiled forest can be

@@ -229,8 +229,9 @@ constexpr ForestKernel kAllKernels[] = {
 
 // Row counts straddling both lockstep widths (8 and 16) and both kernels'
 // interleaved 32-row blocks (AVX2 4x8, AVX-512 2x16): empty, single-row,
-// exact multiples, one-off each side. Every lane-masking and tail path
-// must stay bit-identical to the legacy reference walk.
+// exact multiples, one-off each side, and the AVX-512 32+16 boundary
+// (47/48/49). Every vector-groups-plus-scalar-remainder split must stay
+// bit-identical to the legacy reference walk.
 TEST(CompiledForestEdgeTest, RowCountsAroundLockstepWidth) {
   for (const bool linear_leaves : {false, true}) {
     const size_t kFeatures = 5;
@@ -242,8 +243,8 @@ TEST(CompiledForestEdgeTest, RowCountsAroundLockstepWidth) {
     mart.Fit(train);
 
     Rng rng(17);
-    for (const size_t num_rows :
-         {0u, 1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 65u}) {
+    for (const size_t num_rows : {0u, 1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
+                                  32u, 33u, 47u, 48u, 49u, 65u}) {
       std::vector<double> matrix(num_rows * kFeatures);
       for (auto& v : matrix) v = rng.Uniform(-50.0, 4000.0);
       std::vector<double> out(num_rows, -1.0);
@@ -410,7 +411,7 @@ TEST(CompiledForestDispatchTest, Avx512MatchesReferenceBitwise) {
     mart.Fit(train);
 
     Rng rng(23);
-    const size_t kRows = 333;  // 10x32 + 16-wide remainder + scalar tail.
+    const size_t kRows = 333;  // 10x32 vector rows + 13-row scalar remainder.
     std::vector<double> matrix(kRows * kFeatures);
     for (auto& v : matrix) v = rng.Uniform(-200.0, 6000.0);
     std::vector<double> out(kRows, -1.0);

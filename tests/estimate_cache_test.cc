@@ -342,19 +342,21 @@ TEST(EstimateCacheTest, LookupsStayLiveDuringRepeatedWideEviction) {
   });
   std::thread evictor([&]() {
     // Refit churn on slots the reader never touches, plus fresh insertions
-    // so the swept slots are never empty.
+    // so the swept slots are never empty. At least one sweep runs even when
+    // the reader finishes before this thread is first scheduled (a loaded
+    // host), so the invalidation counters below always have work to check.
     const std::vector<ModelSlotId> swept = {
         {OpType::kSort, Resource::kCpu},
         {OpType::kSort, Resource::kIo},
         {OpType::kTableScan, Resource::kCpu},
     };
     int serial = 0;
-    while (!stop.load()) {
+    do {
       for (const auto& [op, resource] : swept) {
         cache.Insert(MakeSlotKey(op, resource, ++serial), 3.0);
       }
       cache.EvictOperators(swept);
-    }
+    } while (!stop.load());
   });
   reader.join();
   evictor.join();
