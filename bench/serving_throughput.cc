@@ -986,7 +986,7 @@ int main() {
   json.Number("batched_cached_qps", dn / memoized.seconds);
   json.Number("batched_uncached_speedup", serial_sec / fanout.seconds);
   // Inference-path configuration behind the numbers above: which compiled-
-  // forest kernel ran (avx2 / scalar / scalar-exact), its lockstep width,
+  // forest kernel ran (avx512 / avx2 / scalar), its lockstep width,
   // and the chunk size the adaptive policy picked for this batch shape —
   // so a regression in the JSON can be attributed to a dispatch or sizing
   // change, not just "got slower".

@@ -4,6 +4,7 @@
 // contract `resest_server` speaks; see docs/wire_api.md.
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "src/common/thread_pool.h"
 #include "src/core/estimator.h"
@@ -45,9 +46,10 @@ int main() {
   service_options.model_name = "demo";
   EstimationService service(&registry, &pool, service_options);
   ServingFrontend frontend(&service, &registry, "demo");
-  HttpServer server(&pool, [&frontend](const HttpRequest& request) {
-    return frontend.Handle(request);
-  });
+  HttpServer server(
+      [&frontend](const HttpRequest& request, HttpResponseSender respond) {
+        frontend.HandleAsync(request, std::move(respond));
+      });
   std::string error;
   if (!server.Start(&error)) {
     std::printf("      failed to start: %s\n", error.c_str());

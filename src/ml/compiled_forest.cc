@@ -122,9 +122,6 @@ inline size_t Step(size_t i, const double* x,
 }  // namespace
 
 ForestKernel CompiledForest::ActiveKernel() {
-#if defined(RESEST_EXACT_PREDICT)
-  return ForestKernel::kScalar;
-#else
   static const ForestKernel kernel = [] {
     // The override names the widest kernel the caller wants; unsupported
     // requests fall down the ladder rather than erroring, so a script can
@@ -139,7 +136,6 @@ ForestKernel CompiledForest::ActiveKernel() {
     return Avx2Supported() ? ForestKernel::kAvx2 : ForestKernel::kScalar;
   }();
   return kernel;
-#endif
 }
 
 bool CompiledForest::Avx2Supported() {
@@ -161,16 +157,12 @@ bool CompiledForest::Avx512Supported() {
 }
 
 const char* CompiledForest::ActiveKernelName() {
-#if defined(RESEST_EXACT_PREDICT)
-  return "scalar-exact";
-#else
   switch (ActiveKernel()) {
     case ForestKernel::kAvx512: return "avx512";
     case ForestKernel::kAvx2: return "avx2";
     case ForestKernel::kScalar: break;
   }
   return "scalar";
-#endif
 }
 
 size_t CompiledForest::ActiveLockstepWidth() {
@@ -209,7 +201,7 @@ void CompiledForest::PredictBatchWith(ForestKernel kernel, const double* rows,
   // scalar kernel. Each row accumulates independently, in boosting order,
   // so the split is bit-identical to any single kernel.
   size_t whole = 0;
-#if defined(RESEST_HAVE_AVX2_KERNEL) && !defined(RESEST_EXACT_PREDICT)
+#if defined(RESEST_HAVE_AVX2_KERNEL)
   // Both vector kernels address feature values with 32-bit offsets; batches
   // past that range (not reachable through the serving layer's batch cap)
   // take the scalar path.

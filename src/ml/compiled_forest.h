@@ -45,11 +45,9 @@
 // runs scalar, in boosting order, with no FMA contraction (compiled_forest.cc
 // builds with -ffp-contract=off, because the AVX-512 target enables FMA);
 // the vector code only computes leaf indices, which are integers and either
-// exactly right or a bug. Defining RESEST_EXACT_PREDICT (CMake option of
-// the same name) additionally pins every batch entry point to the scalar
-// reference-order kernel, so the bit-identity oracle suite enforces the
-// contract without trusting any SIMD kernel — the escape hatch for a
-// future kernel that does reassociate.
+// exactly right or a bug. The oracle suites check every kernel against
+// PredictReference through PredictBatchWith, and RESEST_SIMD=scalar runs
+// them with the scalar reference-order kernel pinned.
 //
 // Immutability: Compile() fully builds the representation; afterwards all
 // methods are const and touch no mutable state, so a compiled forest can be
@@ -78,11 +76,9 @@ class CompiledForest {
   /// Overrides: RESEST_SIMD=scalar forces the fallback (bench
   /// comparability, testing); RESEST_SIMD=avx2 / RESEST_SIMD=avx512
   /// request that kernel but still fall back down the ladder when
-  /// unsupported; a RESEST_EXACT_PREDICT build pins kScalar
-  /// unconditionally.
+  /// unsupported.
   static ForestKernel ActiveKernel();
-  /// "avx512", "avx2", "scalar", or "scalar-exact" (RESEST_EXACT_PREDICT
-  /// build).
+  /// "avx512", "avx2", or "scalar".
   static const char* ActiveKernelName();
   /// Rows per lockstep group of the active kernel: 16 for kAvx512, else 8.
   static size_t ActiveLockstepWidth();
@@ -113,8 +109,7 @@ class CompiledForest {
                     double* out) const;
 
   /// Test seam: PredictBatch through a specific kernel. Falls back to
-  /// kScalar when the requested kernel is unavailable on this host (and in
-  /// RESEST_EXACT_PREDICT builds, which pin the scalar path).
+  /// kScalar when the requested kernel is unavailable on this host.
   void PredictBatchWith(ForestKernel kernel, const double* rows,
                         size_t num_rows, size_t stride, double* out) const;
 

@@ -4,14 +4,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
-
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -50,6 +47,16 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// Adds (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) `fd` in `epfd` for
+/// `events`, tagged with `tag`; false on failure.
+bool EpollCtl(int epfd, int op, int fd, uint32_t events, uint64_t tag) {
+  epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = events;
+  ev.data.u64 = tag;
+  return ::epoll_ctl(epfd, op, fd, &ev) == 0;
+}
+
 /// Serializes one response onto a connection's output buffer.
 void AppendResponse(const HttpResponse& response, bool keep_alive,
                     std::string* out) {
@@ -78,13 +85,12 @@ ParseOutcome ParseOneRequest(std::string* buffer,
     return ParseOutcome::kError;
   };
 
+  // The cap holds whether or not the terminator arrived in the same read.
   const size_t header_end = buffer->find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    if (buffer->size() > options.max_header_bytes) {
-      return fail(400, "request headers too large");
-    }
-    return ParseOutcome::kNeedMore;
+  if (std::min(header_end, buffer->size()) > options.max_header_bytes) {
+    return fail(400, "request headers too large");
   }
+  if (header_end == std::string::npos) return ParseOutcome::kNeedMore;
 
   // --- Request line. ---
   const std::string head = buffer->substr(0, header_end);
@@ -168,12 +174,10 @@ ParseOutcome ParseOneRequest(std::string* buffer,
   return ParseOutcome::kRequest;
 }
 
-#if defined(__linux__)
-/// epoll_event.data.u64 tags for the two non-connection fds.
-// Reserved epoll tags; connection ids start above them (next_conn_id_).
+/// epoll_event.data.u64 tags for the two non-connection fds; connection
+/// ids start above them (next_conn_id_).
 constexpr uint64_t kWakeTag = 0;
 constexpr uint64_t kListenerTag = 1;
-#endif
 
 }  // namespace
 
@@ -217,17 +221,14 @@ struct HttpServer::Conn {
   bool write_pending() const { return out_off < out.size(); }
 };
 
-/// One event loop: poller + wake pipe + the connections it owns. The
+/// One event loop: epoll set + wake pipe + the connections it owns. The
 /// cross-thread surface (new sockets from the acceptor, finished responses
 /// from handlers) is the mutex-guarded queues; everything else is
 /// loop-thread-private.
 struct HttpServer::IoLoop {
   HttpServer* server = nullptr;
   size_t index = 0;
-  bool poll_backend = false;
-#if defined(__linux__)
   int epfd = -1;
-#endif
   int wake_rd = -1;
   int wake_wr = -1;
   std::thread thread;
@@ -290,36 +291,6 @@ HttpServer::HttpServer(HttpAsyncHandler handler, HttpServerOptions options)
   if (options_.poll_interval_ms <= 0) options_.poll_interval_ms = 100;
 }
 
-HttpServer::HttpServer(ThreadPool* pool, HttpHandler handler,
-                       HttpServerOptions options)
-    : HttpServer(
-          [pool, handler = std::move(handler)](const HttpRequest& request,
-                                               HttpResponseSender respond) {
-            // The synchronous handler may block, so it must leave the I/O
-            // thread; the request is copied because the loop's parse
-            // scratch does not outlive the dispatch.
-            auto run = [handler, request, respond]() {
-              HttpResponse response;
-              try {
-                response = handler(request);
-              } catch (...) {
-                response = MakeError(500, "internal error");
-              }
-              respond.Send(std::move(response));
-            };
-            if (pool != nullptr) {
-              try {
-                pool->Submit(run);
-                return;
-              } catch (...) {
-                // Pool shutting down under us (lifecycle misuse); run
-                // inline so the client still gets its answer.
-              }
-            }
-            run();
-          },
-          std::move(options)) {}
-
 HttpServer::~HttpServer() {
   Stop();
   // Teardown of the loops' fds is deferred to here (not Stop) so a sender
@@ -329,9 +300,7 @@ HttpServer::~HttpServer() {
     loop->fds_closed = true;
     CloseFd(loop->wake_rd);
     CloseFd(loop->wake_wr);
-#if defined(__linux__)
     CloseFd(loop->epfd);
-#endif
     for (int fd : loop->incoming) CloseFd(fd);
     loop->incoming.clear();
   }
@@ -345,16 +314,6 @@ size_t HttpServer::EffectiveIoThreads() const {
   return half < 1 ? 1 : (half > 4 ? 4 : half);
 }
 
-bool HttpServer::UsePollBackend() const {
-#if defined(__linux__)
-  if (options_.use_poll) return true;
-  const char* env = std::getenv("RESEST_IO_POLLER");
-  return env != nullptr && std::strcmp(env, "poll") == 0;
-#else
-  return true;
-#endif
-}
-
 bool HttpServer::Start(std::string* error) {
   auto fail = [&](const std::string& message) {
     if (error != nullptr) *error = message + ": " + std::strerror(errno);
@@ -365,9 +324,7 @@ bool HttpServer::Start(std::string* error) {
     for (auto& loop : loops_) {
       CloseFd(loop->wake_rd);
       CloseFd(loop->wake_wr);
-#if defined(__linux__)
       CloseFd(loop->epfd);
-#endif
     }
     loops_.clear();
     return false;
@@ -409,12 +366,10 @@ bool HttpServer::Start(std::string* error) {
   port_ = ntohs(bound.sin_port);
 
   const size_t num_loops = EffectiveIoThreads();
-  const bool poll_backend = UsePollBackend();
   for (size_t i = 0; i < num_loops; ++i) {
     auto loop = std::make_unique<IoLoop>();
     loop->server = this;
     loop->index = i;
-    loop->poll_backend = poll_backend;
     int pipe_fds[2];
     if (::pipe(pipe_fds) != 0) return fail("pipe");
     loop->wake_rd = pipe_fds[0];
@@ -423,31 +378,22 @@ bool HttpServer::Start(std::string* error) {
       loops_.push_back(std::move(loop));
       return fail("fcntl(wake pipe)");
     }
-#if defined(__linux__)
-    if (!poll_backend) {
-      loop->epfd = ::epoll_create1(0);
-      if (loop->epfd < 0) {
-        loops_.push_back(std::move(loop));
-        return fail("epoll_create1");
-      }
-      epoll_event ev;
-      std::memset(&ev, 0, sizeof(ev));
-      ev.events = EPOLLIN;  // level-triggered: the wake byte stays readable
-      ev.data.u64 = kWakeTag;
-      if (::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, loop->wake_rd, &ev) != 0) {
-        loops_.push_back(std::move(loop));
-        return fail("epoll_ctl(wake)");
-      }
-      if (i == 0) {
-        ev.events = EPOLLIN;
-        ev.data.u64 = kListenerTag;
-        if (::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-          loops_.push_back(std::move(loop));
-          return fail("epoll_ctl(listener)");
-        }
-      }
+    loop->epfd = ::epoll_create1(0);
+    if (loop->epfd < 0) {
+      loops_.push_back(std::move(loop));
+      return fail("epoll_create1");
     }
-#endif
+    // Level-triggered: the wake byte stays readable until drained.
+    if (!EpollCtl(loop->epfd, EPOLL_CTL_ADD, loop->wake_rd, EPOLLIN,
+                  kWakeTag)) {
+      loops_.push_back(std::move(loop));
+      return fail("epoll_ctl(wake)");
+    }
+    if (i == 0 && !EpollCtl(loop->epfd, EPOLL_CTL_ADD, listen_fd_, EPOLLIN,
+                            kListenerTag)) {
+      loops_.push_back(std::move(loop));
+      return fail("epoll_ctl(listener)");
+    }
     loops_.push_back(std::move(loop));
   }
 
@@ -537,72 +483,25 @@ void HttpServer::LoopMain(IoLoop* loop) {
   std::vector<uint64_t> ready_write;
   std::vector<int> incoming;
   std::vector<std::pair<uint64_t, HttpResponse>> completions;
-#if !defined(__linux__)
-  const bool use_epoll = false;
-#else
-  const bool use_epoll = !loop->poll_backend;
-#endif
-  // poll() backend scratch, rebuilt per iteration.
-  std::vector<struct pollfd> pfds;
-  std::vector<uint64_t> pfd_ids;
 
   for (;;) {
     ready_read.clear();
     ready_write.clear();
     bool listener_ready = false;
 
-#if defined(__linux__)
-    if (use_epoll) {
-      epoll_event events[64];
-      const int n =
-          ::epoll_wait(loop->epfd, events, 64, options_.poll_interval_ms);
-      for (int i = 0; i < n; ++i) {
-        const uint64_t tag = events[i].data.u64;
-        if (tag == kWakeTag) continue;  // drained below with the queues
-        if (tag == kListenerTag) {
-          listener_ready = true;
-          continue;
-        }
-        if (events[i].events & EPOLLOUT) ready_write.push_back(tag);
-        if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-          ready_read.push_back(tag);
-        }
+    epoll_event events[64];
+    const int n =
+        ::epoll_wait(loop->epfd, events, 64, options_.poll_interval_ms);
+    for (int i = 0; i < n; ++i) {
+      const uint64_t tag = events[i].data.u64;
+      if (tag == kWakeTag) continue;  // drained below with the queues
+      if (tag == kListenerTag) {
+        listener_ready = true;
+        continue;
       }
-    }
-#endif
-    if (!use_epoll) {
-      pfds.clear();
-      pfd_ids.clear();
-      pfds.push_back({loop->wake_rd, POLLIN, 0});
-      pfd_ids.push_back(0);
-      const bool watch_listener =
-          loop->index == 0 && listen_fd_ >= 0 &&
-          !stopping_.load(std::memory_order_relaxed);
-      if (watch_listener) {
-        pfds.push_back({listen_fd_, POLLIN, 0});
-        pfd_ids.push_back(0);
-      }
-      const size_t first_conn = pfds.size();
-      for (const auto& entry : loop->conns) {
-        const Conn* c = entry.second.get();
-        if (c->fd < 0) continue;
-        short events = POLLIN;
-        if (c->want_write) events |= POLLOUT;
-        pfds.push_back({c->fd, events, 0});
-        pfd_ids.push_back(entry.first);
-      }
-      const int n =
-          ::poll(pfds.data(), pfds.size(), options_.poll_interval_ms);
-      if (n > 0) {
-        if (watch_listener && (pfds[1].revents & POLLIN)) {
-          listener_ready = true;
-        }
-        for (size_t i = first_conn; i < pfds.size(); ++i) {
-          if (pfds[i].revents & POLLOUT) ready_write.push_back(pfd_ids[i]);
-          if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-            ready_read.push_back(pfd_ids[i]);
-          }
-        }
+      if (events[i].events & EPOLLOUT) ready_write.push_back(tag);
+      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+        ready_read.push_back(tag);
       }
     }
 
@@ -688,18 +587,10 @@ void HttpServer::AdoptConnection(IoLoop* loop, int fd) {
   conn->fd = fd;
   conn->last_activity = std::chrono::steady_clock::now();
   loop->conns.emplace(id, std::move(conn));
-#if defined(__linux__)
-  if (!loop->poll_backend) {
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | EPOLLET;
-    ev.data.u64 = id;
-    if (::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      CloseConn(loop, id);
-      return;
-    }
+  if (!EpollCtl(loop->epfd, EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLET, id)) {
+    CloseConn(loop, id);
+    return;
   }
-#endif
   // Edge-triggered registration only reports bytes arriving after it; read
   // whatever raced the handoff now.
   OnReadable(loop, id);
@@ -825,15 +716,8 @@ void HttpServer::FlushWrites(IoLoop* loop, uint64_t id) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       if (!c->want_write) {
         c->want_write = true;
-#if defined(__linux__)
-        if (!loop->poll_backend) {
-          epoll_event ev;
-          std::memset(&ev, 0, sizeof(ev));
-          ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-          ev.data.u64 = id;
-          ::epoll_ctl(loop->epfd, EPOLL_CTL_MOD, c->fd, &ev);
-        }
-#endif
+        EpollCtl(loop->epfd, EPOLL_CTL_MOD, c->fd, EPOLLIN | EPOLLOUT | EPOLLET,
+                 id);
       }
       return;
     }
@@ -846,15 +730,7 @@ void HttpServer::FlushWrites(IoLoop* loop, uint64_t id) {
   }
   if (c->want_write) {
     c->want_write = false;
-#if defined(__linux__)
-    if (!loop->poll_backend) {
-      epoll_event ev;
-      std::memset(&ev, 0, sizeof(ev));
-      ev.events = EPOLLIN | EPOLLET;
-      ev.data.u64 = id;
-      ::epoll_ctl(loop->epfd, EPOLL_CTL_MOD, c->fd, &ev);
-    }
-#endif
+    EpollCtl(loop->epfd, EPOLL_CTL_MOD, c->fd, EPOLLIN | EPOLLET, id);
   }
   if (c->close_after_flush) CloseConn(loop, id);
 }

@@ -1,11 +1,10 @@
 // A small dependency-free HTTP/1.1 server built on a non-blocking event
-// loop: edge-triggered epoll on Linux (a portable poll() backend is the
-// fallback and is selectable for tests), with a fixed set of I/O threads
-// owning per-connection state machines — incremental request parsing,
-// buffered writes, keep-alive reuse, idle timeouts. Exactly what the
-// estimation front end needs — POST bodies with Content-Length, keep-alive,
-// graceful drain — and nothing more (no TLS, no chunked transfer encoding,
-// no multiplexing).
+// loop: edge-triggered epoll (the server targets Linux only), with a fixed
+// set of I/O threads owning per-connection state machines — incremental
+// request parsing, buffered writes, keep-alive reuse, idle timeouts.
+// Exactly what the estimation front end needs — POST bodies with
+// Content-Length, keep-alive, graceful drain — and nothing more (no TLS, no
+// chunked transfer encoding, no multiplexing).
 //
 // Threading model: Start() spawns `io_threads` event loops. Loop 0 owns the
 // listener and accepts until EAGAIN on readiness; accepted sockets are
@@ -15,10 +14,9 @@
 // their response to an HttpResponseSender — a one-shot, copyable handle
 // that may be invoked from any thread (it marshals the response back to
 // the owning loop), which is what lets the serving layer defer a request
-// into a cross-request batch without blocking the loop. The legacy
-// synchronous HttpHandler is still accepted: it is dispatched onto the
-// provided ThreadPool, so a blocking handler occupies a pool slot, never
-// an I/O thread.
+// into a cross-request batch without blocking the loop. A handler with
+// blocking work hands it to its own thread or pool and responds from
+// there.
 //
 // Lifecycle: Start() binds and spawns the loops; Stop() closes the
 // listener (no new connections), closes idle keep-alive connections — a
@@ -40,8 +38,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "src/common/thread_pool.h"
 
 namespace resest {
 
@@ -91,15 +87,10 @@ class HttpResponseSender {
 
 /// Handles one parsed request and eventually invokes `respond` exactly once
 /// (synchronously or from any other thread). Runs on an I/O loop thread, so
-/// it must not block.
+/// it must not block. An escaping exception is answered with a 500 so the
+/// connection stays intact.
 using HttpAsyncHandler =
     std::function<void(const HttpRequest&, HttpResponseSender)>;
-
-/// Legacy synchronous handler; runs on a pool thread and may block
-/// (EstimationService::EstimateBatch is safe there: blocking callers drain
-/// their own chunks). Must not throw — an escaping exception is answered
-/// with a 500 so the connection stays intact.
-using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
@@ -121,10 +112,6 @@ struct HttpServerOptions {
   /// [1, 4] — the loops only shuffle bytes, the estimation work happens on
   /// the shared ThreadPool.
   size_t io_threads = 0;
-  /// Forces the portable poll() backend even where epoll is available
-  /// (tests exercise the fallback this way); RESEST_IO_POLLER=poll does the
-  /// same without a rebuild.
-  bool use_poll = false;
   /// Housekeeping hook run on loop 0's sweep pass — the event loop's timer
   /// path, firing at least every poll_interval_ms while the server runs.
   /// Runs on the I/O thread, so it must be cheap and must not block; the
@@ -150,17 +137,9 @@ class HttpServer {
   struct Conn;
   struct IoLoop;
 
-  /// Event-loop-native form: `handler` runs on the I/O threads and must not
-  /// block; it responds through the sender (possibly later, from another
-  /// thread).
+  /// `handler` runs on the I/O threads and must not block; it responds
+  /// through the sender (possibly later, from another thread).
   explicit HttpServer(HttpAsyncHandler handler, HttpServerOptions options = {});
-
-  /// Legacy synchronous form: each request is dispatched to `pool`, where
-  /// `handler` may block; the response is marshaled back to the owning
-  /// loop. The pool must be sized for the expected concurrent requests on
-  /// top of its estimation work.
-  HttpServer(ThreadPool* pool, HttpHandler handler,
-             HttpServerOptions options = {});
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -223,7 +202,6 @@ class HttpServer {
   void WakeLoop(IoLoop* loop);
   HttpResponseSender MakeSender(size_t loop_index, uint64_t conn_id);
   size_t EffectiveIoThreads() const;
-  bool UsePollBackend() const;
 
   HttpAsyncHandler handler_;
   HttpServerOptions options_;

@@ -34,11 +34,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -135,8 +137,11 @@ bool ParseIntFlag(const char* arg, const char* name, int* out) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(arg + len + 1, &end, 10);
-  if (end == arg + len + 1 || *end != '\0') {
+  if (end == arg + len + 1 || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
     std::fprintf(stderr, "resest_server: bad integer in %s\n", arg);
     std::exit(2);
   }

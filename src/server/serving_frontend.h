@@ -1,6 +1,7 @@
 // The request router of resest_server: maps the wire endpoints onto the
-// estimation service. Transport-free (it is just an HttpHandler), so the
-// integration tests can drive it directly as well as over a socket.
+// estimation service. Transport-free (HandleAsync is the body of an
+// HttpAsyncHandler), so the integration tests can drive it directly as well
+// as over a socket.
 //
 //   POST /v1/estimate  JSON batch -> EstimateBatch (priority/deadline map
 //                      onto SubmitOptions; per-result status in the body;
@@ -53,16 +54,19 @@ class ServingFrontend {
   ServingFrontend(const EstimationService* service,
                   const ModelRegistry* registry, std::string model_name);
 
-  /// Routes one request; the HttpHandler to hand to HttpServer
-  /// ([this](const HttpRequest& r) { return frontend.Handle(r); }).
+  /// Routes one request synchronously (an estimate blocks on
+  /// EstimateBatch): the reference body HandleAsync's responses are
+  /// byte-identical to.
   HttpResponse Handle(const HttpRequest& request) const;
 
-  /// Event-loop form of Handle: /v1/estimate goes through the coalescer
-  /// (when attached) or the service's asynchronous SubmitBatch, so the
-  /// calling I/O thread never blocks on estimation; `respond` is invoked
-  /// exactly once, possibly from another thread. Every other route is
-  /// answered inline via Handle(). The response bytes are identical to
-  /// Handle()'s for the same request.
+  /// The body of the HttpServer handler
+  /// ([&](const HttpRequest& r, HttpResponseSender respond) {
+  ///   frontend.HandleAsync(r, std::move(respond)); }).
+  /// /v1/estimate goes through the coalescer (when attached) or the
+  /// service's asynchronous SubmitBatch, so the calling I/O thread never
+  /// blocks on estimation; `respond` is invoked exactly once, possibly from
+  /// another thread. Every other route is answered inline via Handle(). The
+  /// response bytes are identical to Handle()'s for the same request.
   void HandleAsync(const HttpRequest& request,
                    std::function<void(HttpResponse)> respond) const;
 

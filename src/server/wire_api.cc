@@ -1,5 +1,6 @@
 #include "src/server/wire_api.h"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -9,6 +10,23 @@
 
 namespace resest {
 namespace {
+
+/// The absolute deadline `ms` (> 0, finite) milliseconds from now. Far
+/// deadlines clamp to the latest instant short of time_point::max() (which
+/// means "no deadline"): past about 9.2e12 ms the offset no longer fits the
+/// clock's int64 ticks, and a wrapped sum would lie in the past and expire
+/// the batch on arrival.
+std::chrono::steady_clock::time_point DeadlineAfterMs(double ms) {
+  using Clock = std::chrono::steady_clock;
+  const auto latest = Clock::time_point::max() - Clock::duration(1);
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double, std::milli> offset(ms);
+  // Compared in floating point first: the conversion below is defined only
+  // in range, and the min absorbs its rounding.
+  if (!(offset < latest - now)) return latest;
+  return now + std::min(std::chrono::duration_cast<Clock::duration>(offset),
+                        latest - now);
+}
 
 /// Strict contract: a key we don't understand is a client error, not
 /// something to silently ignore — typos ("dead_line_ms") fail loudly.
@@ -239,9 +257,7 @@ bool TryFastEstimateParse(const std::string& body,
       double ms = 0.0;
       if (!s.Number(&ms)) return false;
       if (!(ms > 0.0) || !std::isfinite(ms)) return false;
-      options->deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(
-                              static_cast<int64_t>(ms * 1000.0));
+      options->deadline = DeadlineAfterMs(ms);
     } else if (SliceEquals(kb, ke, "tenant")) {
       if (seen_tenant) return false;
       seen_tenant = true;
@@ -308,9 +324,7 @@ bool ParseEstimateWireBatch(const JsonValue& body,
       *error = "\"deadline_ms\" must be a positive number";
       return false;
     }
-    options->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(
-                            static_cast<int64_t>(ms * 1000.0));
+    options->deadline = DeadlineAfterMs(ms);
   }
 
   const JsonValue* items = body.Find("requests");

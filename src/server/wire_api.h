@@ -49,7 +49,8 @@ namespace resest {
 /// client-actionable message in *error and leaves the outputs unspecified.
 /// A `deadline_ms` is converted to an absolute steady-clock deadline at
 /// parse time, so queueing delay counts against it — same as an in-process
-/// caller computing the deadline before submitting.
+/// caller computing the deadline before submitting. One past the clock's
+/// range clamps to its latest instant.
 /// When `tenant` is non-null it receives the optional "tenant" field
 /// (cleared when absent); routing/validation is the caller's job.
 bool ParseEstimateWireBatch(const JsonValue& body,

@@ -68,13 +68,13 @@ struct EstimationService::BatchState {
   std::vector<EstimateRequest> requests;
   std::vector<EstimateResult> results;
   ModelSnapshot snapshot;
-  /// Batch-level identity dedup (ServiceOptions::dedup_identical_requests):
-  /// when the batch contains duplicates, `reps` lists the first occurrence
-  /// of each distinct request in request order and chunks cover `reps`
-  /// instead of `requests`; dup_of[i] is the representative whose result
-  /// request i copies in FinishBatch (dup_of[i] <= i, so the source is
-  /// final by then). Both stay empty when every request is distinct —
-  /// chunks then index `requests` directly, with no indirection cost.
+  /// Batch-level identity dedup: when the batch contains duplicates, `reps`
+  /// lists the first occurrence of each distinct request in request order
+  /// and chunks cover `reps` instead of `requests`; dup_of[i] is the
+  /// representative whose result request i copies in FinishBatch
+  /// (dup_of[i] <= i, so the source is final by then). Both stay empty when
+  /// every request is distinct — chunks then index `requests` directly,
+  /// with no indirection cost.
   std::vector<uint32_t> reps;
   std::vector<uint32_t> dup_of;
   /// Chunked work items: reps.size() under dedup, requests.size() otherwise.
@@ -446,7 +446,7 @@ std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
   // hashing at admission time) and the bitwise feature hash for operator
   // payloads. Chunk sizing below runs over the deduplicated work list;
   // FinishBatch copies each representative's result to its duplicates.
-  if (options_.dedup_identical_requests && n > 1) {
+  if (n > 1) {
     const auto hash_of = [](const EstimateRequest& r) -> size_t {
       size_t h;
       if (r.has_features) {

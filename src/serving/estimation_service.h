@@ -125,18 +125,6 @@ struct ServiceOptions {
   /// plus chunk-level grouping turned it into the 3x+ win BENCH_serving.json
   /// tracks). A non-zero value pins every batch's chunk size verbatim.
   size_t chunk_size = 0;
-  /// Collapse identical requests inside a batch before fan-out: requests
-  /// naming the same (plan, database, resource) — pointer identity — or a
-  /// bitwise-equal operator payload are estimated once, and every duplicate
-  /// receives a copy of the representative's result when the batch
-  /// completes. Estimation is a pure function of (snapshot, request), so a
-  /// duplicate could never observe a different double: bit-identity is free.
-  /// Optimization sessions re-estimate the same plan many times per batch
-  /// (the workload the estimate cache exists for), and dedup gives the
-  /// uncached path the same collapse at pointer-compare cost; chunk sizing
-  /// applies to the deduplicated work list. Off = every request is
-  /// estimated independently (pre-dedup behavior).
-  bool dedup_identical_requests = true;
   /// Cross-request (model_version, op, resource, features) estimate cache.
   bool enable_cache = true;
   size_t cache_capacity = 64 * 1024;  ///< Entries, across all shards.

@@ -386,7 +386,7 @@ TEST(CompiledForestDispatchTest, ActiveKernelNameAndWidthAgree) {
       EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 8u);
       break;
     case ForestKernel::kScalar:
-      EXPECT_TRUE(name == "scalar" || name == "scalar-exact");
+      EXPECT_EQ(name, "scalar");
       EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 8u);
       break;
   }

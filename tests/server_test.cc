@@ -566,6 +566,49 @@ TEST(WireApiTest, FastPathParserMatchesTreeParserOnRejectsAndFallbacks) {
   ExpectWireParseEquivalent(long_features);
 }
 
+TEST(WireApiTest, FarDeadlinesStayInTheFutureOnBothParsePaths) {
+  // 1e13 ms overflows the clock's int64 nanoseconds and 1e300 ms the
+  // double-to-int64 conversion: both must clamp to a far deadline rather
+  // than wrap into the past and expire the batch on arrival.
+  auto db = GenerateDatabase(TpchSchema(), 0.1, 1.0, 42);
+  Rng rng(7);
+  const auto workload =
+      RunWorkload(db.get(), GenerateTpchWorkload(10, &rng, db.get()));
+  TrainOptions train;
+  train.mart.num_trees = 3;
+  ModelRegistry registry;
+  registry.Publish("default", std::make_shared<const ResourceEstimator>(
+                                  ResourceEstimator::Train(workload, train)));
+  ThreadPool pool(2);
+  EstimationService service(&registry, &pool);
+
+  const std::string requests =
+      "\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1,2]}]}";
+  for (const std::string ms : {"1e13", "1e300"}) {
+    // The plain body takes the fast scanner; the escaped tenant sends the
+    // second through the tree parser.
+    const std::string fast = "{\"deadline_ms\":" + ms + "," + requests;
+    const std::string tree =
+        "{\"tenant\":\"t\\u0031\",\"deadline_ms\":" + ms + "," + requests;
+    for (const std::string& body : {fast, tree}) {
+      std::vector<EstimateRequest> parsed;
+      SubmitOptions options;
+      std::string tenant;
+      std::string error;
+      ASSERT_TRUE(
+          ParseEstimateWireRequest(body, &parsed, &options, &tenant, &error))
+          << body << ": " << error;
+      EXPECT_TRUE(options.has_deadline()) << body;
+      EXPECT_GT(options.deadline, std::chrono::steady_clock::now()) << body;
+      const std::vector<EstimateResult> results =
+          service.EstimateBatch(parsed, options);
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(results[0].status, EstimateStatus::kOk) << body;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShutdownLatch (programmatic paths; signal delivery is covered by the
 // subprocess SIGTERM test below)
@@ -662,14 +705,12 @@ HttpServerOptions FastPollOptions() {
 }
 
 TEST(HttpServerTest, ServesKeepAliveRequestsAndEchoesBodies) {
-  ThreadPool pool(2);
   HttpServer server(
-      &pool,
-      [](const HttpRequest& request) {
+      [](const HttpRequest& request, HttpResponseSender respond) {
         HttpResponse response;
         response.body = request.method + " " + request.target + " q=" +
                         request.query + " body=" + request.body;
-        return response;
+        respond(std::move(response));
       },
       FastPollOptions());
   std::string error;
@@ -691,15 +732,13 @@ TEST(HttpServerTest, ServesKeepAliveRequestsAndEchoesBodies) {
 }
 
 TEST(HttpServerTest, RejectsOversizedBodyWithoutInvokingHandler) {
-  ThreadPool pool(2);
   std::atomic<int> handler_calls{0};
   HttpServerOptions options = FastPollOptions();
   options.max_body_bytes = 64;
   HttpServer server(
-      &pool,
-      [&handler_calls](const HttpRequest&) {
+      [&handler_calls](const HttpRequest&, HttpResponseSender respond) {
         handler_calls.fetch_add(1);
-        return HttpResponse{};
+        respond(HttpResponse{});
       },
       options);
   std::string error;
@@ -720,10 +759,11 @@ TEST(HttpServerTest, RejectsOversizedBodyWithoutInvokingHandler) {
   server.Stop();
 }
 
-TEST(HttpServerTest, RejectsMalformedRequestLineAndTransferEncoding) {
-  ThreadPool pool(2);
+TEST(HttpServerTest, RejectsMalformedOrOversizedRequestHead) {
   HttpServer server(
-      &pool, [](const HttpRequest&) { return HttpResponse{}; },
+      [](const HttpRequest&, HttpResponseSender respond) {
+        respond(HttpResponse{});
+      },
       FastPollOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -741,23 +781,28 @@ TEST(HttpServerTest, RejectsMalformedRequestLineAndTransferEncoding) {
         "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"));
     EXPECT_EQ(conn.ReadResponse(), 400);
   }
+  {
+    // Headers past the cap in one write, terminator included, so the
+    // server may see the whole block complete in a single read.
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(server.port()));
+    ASSERT_TRUE(conn.SendAll("GET /x HTTP/1.1\r\nX-Pad: " +
+                             std::string(16 * 1024 + 100, 'a') +
+                             "\r\n\r\n"));
+    std::string body;
+    EXPECT_EQ(conn.ReadResponse(&body), 400);
+    EXPECT_EQ(body, "request headers too large\n");
+  }
   server.Stop();
 }
 
 TEST(HttpServerTest, StopAnswersInFlightRequestBeforeReturning) {
-  ThreadPool pool(4);
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  std::atomic<bool> entered_once{false};
+  // The handler keeps the sender instead of answering: the request stays
+  // in flight until a helper thread sends it after Stop() has begun.
+  std::promise<HttpResponseSender> held;
   HttpServer server(
-      &pool,
-      [&entered, &entered_once, release_future](const HttpRequest&) {
-        if (!entered_once.exchange(true)) entered.set_value();
-        release_future.wait();
-        HttpResponse response;
-        response.body = "done";
-        return response;
+      [&held](const HttpRequest&, HttpResponseSender respond) {
+        held.set_value(std::move(respond));
       },
       FastPollOptions());
   std::string error;
@@ -772,14 +817,19 @@ TEST(HttpServerTest, StopAnswersInFlightRequestBeforeReturning) {
     ok = client.Connect("127.0.0.1", port, &client_error) &&
          client.Get("/slow", &response, &client_error);
   });
-  entered.get_future().wait();  // request is in the handler
+  HttpResponseSender respond = held.get_future().get();  // in the handler
 
   std::thread stopper([&server]() { server.Stop(); });
-  // Stop() must not complete while the handler is still running; give it a
-  // moment to (wrongly) finish early, then release the handler.
+  // Stop() must not complete while the response is still owed; give it a
+  // moment to (wrongly) finish early, then answer from another thread.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(server.active_connections(), 1u);
-  release.set_value();
+  std::thread helper([respond]() {
+    HttpResponse response;
+    response.body = "done";
+    respond(std::move(response));
+  });
+  helper.join();
   stopper.join();
   client_thread.join();
   ASSERT_TRUE(ok) << client_error;
@@ -789,13 +839,11 @@ TEST(HttpServerTest, StopAnswersInFlightRequestBeforeReturning) {
 }
 
 TEST(HttpServerTest, StopServesBytesDeliveredBeforeDrainBegan) {
-  ThreadPool pool(2);
   HttpServer server(
-      &pool,
-      [](const HttpRequest&) {
+      [](const HttpRequest&, HttpResponseSender respond) {
         HttpResponse response;
         response.body = "late";
-        return response;
+        respond(std::move(response));
       },
       FastPollOptions());
   std::string error;
@@ -909,21 +957,18 @@ class ServerFrontendTest : public ::testing::Test {
     return values;
   }
 
-  /// Shared body for the coalesced-loopback bit-identity test, run against
-  /// both poller backends: concurrent keep-alive clients with mixed
-  /// priorities (plus one deadline-carrying stream, which bypasses the
-  /// coalescer) through the async server must produce responses
-  /// byte-identical to the synchronous solo path.
-  void RunCoalescedLoopback(bool use_poll) {
+  /// Body of the coalesced-loopback bit-identity test: concurrent
+  /// keep-alive clients with mixed priorities (plus one deadline-carrying
+  /// stream, which bypasses the coalescer) through the async server must
+  /// produce responses byte-identical to the synchronous solo path.
+  void RunCoalescedLoopback() {
     BatchCoalescer coalescer(service_.get(), {});
     frontend_->set_coalescer(&coalescer);
-    HttpServerOptions options = FastPollOptions();
-    options.use_poll = use_poll;
     HttpServer server(
         [this](const HttpRequest& r, HttpResponseSender respond) {
           frontend_->HandleAsync(r, std::move(respond));
         },
-        options);
+        FastPollOptions());
     frontend_->set_http_server(&server);
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
@@ -1147,8 +1192,9 @@ TEST_F(ServerFrontendTest, MetricsExposeLaneCacheAndModelSeries) {
 
 TEST_F(ServerFrontendTest, LoopbackMixedPrioritiesBitIdenticalAndScraped) {
   HttpServer server(
-      pool_.get(),
-      [this](const HttpRequest& r) { return frontend_->Handle(r); },
+      [this](const HttpRequest& r, HttpResponseSender respond) {
+        frontend_->HandleAsync(r, std::move(respond));
+      },
       FastPollOptions());
   frontend_->set_http_server(&server);
   std::string error;
@@ -1202,8 +1248,10 @@ TEST_F(ServerFrontendTest, OversizedBodyOverHttpIs400AndServiceUntouched) {
   HttpServerOptions options = FastPollOptions();
   options.max_body_bytes = 1024;
   HttpServer server(
-      pool_.get(),
-      [this](const HttpRequest& r) { return frontend_->Handle(r); }, options);
+      [this](const HttpRequest& r, HttpResponseSender respond) {
+        frontend_->HandleAsync(r, std::move(respond));
+      },
+      options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -1226,11 +1274,7 @@ TEST_F(ServerFrontendTest, OversizedBodyOverHttpIs400AndServiceUntouched) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ServerFrontendTest, CoalescedResponsesBitIdenticalToSoloEpoll) {
-  RunCoalescedLoopback(/*use_poll=*/false);
-}
-
-TEST_F(ServerFrontendTest, CoalescedResponsesBitIdenticalToSoloPoll) {
-  RunCoalescedLoopback(/*use_poll=*/true);
+  RunCoalescedLoopback();
 }
 
 TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitForBulkCoalesceWindow) {
@@ -1622,6 +1666,46 @@ TEST_F(ServerFrontendTest, SigtermDrainsUnderConcurrentKeepAliveClients) {
   EXPECT_GT(ok_responses.load(), 0u) << "no load reached the server";
   ASSERT_TRUE(saw_drain_line);
   EXPECT_EQ(served, ok_responses.load());
+}
+
+TEST_F(ServerFrontendTest, OutOfRangeIntegerFlagIsAUsageError) {
+  const char* bin = std::getenv("RESEST_SERVER_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "RESEST_SERVER_BIN not set (ctest sets it)";
+  }
+  // A missing model makes any run that gets past flag parsing exit 1
+  // before serving, so a wrapped value (--port=4294967296 as port 0)
+  // cannot start a server here.
+  const std::string model_flag =
+      "--model=" + ::testing::TempDir() + "resest_no_such.model";
+  for (const char* flag :
+       {"--port=4294967296", "--trees=99999999999999999999"}) {
+    int err_pipe[2];
+    ASSERT_EQ(::pipe(err_pipe), 0);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::dup2(err_pipe[1], STDERR_FILENO);
+      ::close(err_pipe[0]);
+      ::close(err_pipe[1]);
+      ::execl(bin, bin, flag, model_flag.c_str(), static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    ::close(err_pipe[1]);
+    std::string err;
+    char chunk[256];
+    ssize_t n;
+    while ((n = ::read(err_pipe[0], chunk, sizeof(chunk))) > 0) {
+      err.append(chunk, static_cast<size_t>(n));
+    }
+    ::close(err_pipe[0]);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << ": " << err;
+    EXPECT_NE(err.find("bad integer"), std::string::npos)
+        << flag << ": " << err;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -456,6 +456,9 @@ TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
                 for (const auto& r : results) {
                   if (!r.ok()) result_failures.fetch_add(1);
                 }
+                // Under the lock: the waiter cannot see the last response,
+                // return and destroy done_cv while this notify still runs.
+                std::lock_guard<std::mutex> lock(done_mu);
                 responses.fetch_add(1);
                 done_cv.notify_one();
               });
