@@ -330,7 +330,7 @@ LoopbackScenario MeasureServerLoopback(const ModelRegistry& registry,
   LoopbackScenario scenario;
   EstimationService service(&registry, &pool);
   ServingFrontend frontend(&service, &registry, "default");
-  BatchCoalescer coalescer(&service, {});  // default window/max-rows
+  BatchCoalescer coalescer(&service, {});  // default max-rows
   frontend.set_coalescer(&coalescer);
   HttpServer server(
       [&frontend](const HttpRequest& r, HttpResponseSender respond) {

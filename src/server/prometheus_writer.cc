@@ -322,8 +322,10 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
     w.Sample("resest_coalesce_passthrough_total", {}, c.passthrough);
     w.BeginFamily("resest_coalesce_flushes_total",
                   "Merged batches submitted, by flush trigger.", "counter");
-    w.Sample("resest_coalesce_flushes_total", {{"trigger", "window"}},
-             c.flush_window);
+    w.Sample("resest_coalesce_flushes_total", {{"trigger", "idle"}},
+             c.flush_idle);
+    w.Sample("resest_coalesce_flushes_total", {{"trigger", "chained"}},
+             c.flush_chained);
     w.Sample("resest_coalesce_flushes_total", {{"trigger", "full"}},
              c.flush_full);
     w.Sample("resest_coalesce_flushes_total", {{"trigger", "urgent"}},
@@ -342,8 +344,8 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
                                       c.batch_rows_histogram.end()),
                 static_cast<double>(c.coalesced_rows), c.batches);
     w.BeginFamily("resest_coalesce_wait_seconds",
-                  "Time each coalesced submission spent waiting for merge "
-                  "partners.",
+                  "Time each coalesced submission spent queued behind a "
+                  "running batch.",
                   "histogram");
     std::vector<double> wait_bounds(kCoalesceWaitBuckets);
     for (size_t i = 0; i < kCoalesceWaitBuckets; ++i) {

@@ -75,7 +75,6 @@ struct Flags {
   int obslog_cap_mb = 0;   ///< 0 = unbounded observation-log memory.
   int refit_interval_ms = 0;  ///< 0 = no background refit loop.
   int io_threads = 0;         ///< 0 = auto (half the cores, clamped [1,4]).
-  int coalesce_window_us = 100;  ///< 0 disables coalescing.
   int coalesce_max_rows = 1024;  ///< 0 disables coalescing.
   std::string tenants;     ///< Comma-separated named tenants (may be empty).
   int tenant_cache_mb = 0;    ///< 0 = keep the service default capacity.
@@ -86,8 +85,7 @@ void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--address=IP] [--port=N] [--threads=N]\n"
-      "          [--io-threads=N] [--coalesce-window-us=N]\n"
-      "          [--coalesce-max-rows=N]\n"
+      "          [--io-threads=N] [--coalesce-max-rows=N]\n"
       "          [--model=PATH] [--model-name=NAME]\n"
       "          [--train-queries=N] [--trees=N]\n"
       "          [--data-dir=PATH] [--obslog-cap-mb=N]\n"
@@ -103,11 +101,13 @@ void PrintUsage(const char* argv0) {
       "                     (default: hardware concurrency)\n"
       "  --io-threads=N     event-loop threads for the HTTP front end\n"
       "                     (default 0 = half the cores, clamped to [1,4])\n"
-      "  --coalesce-window-us=N  max time a /v1/estimate request waits to\n"
-      "                     merge with concurrent requests into one batch\n"
-      "                     (default 100; 0 disables coalescing)\n"
-      "  --coalesce-max-rows=N  rows that flush a coalesced batch before\n"
-      "                     the window expires (default 1024; 0 disables)\n"
+      "  --coalesce-max-rows=N  cap on a coalesced /v1/estimate batch.\n"
+      "                     Batching is work-conserving: a request to an\n"
+      "                     idle lane runs at once, and requests arriving\n"
+      "                     while a batch runs merge into the next one\n"
+      "                     (default 1024; 0 disables coalescing)\n"
+      "  --coalesce-window-us=0  deprecated alias for\n"
+      "                     --coalesce-max-rows=0; other values are rejected\n"
       "  --model=PATH       load a persisted model store instead of\n"
       "                     training the demo model\n"
       "  --model-name=NAME  registry base name to publish/serve (default\n"
@@ -177,6 +177,18 @@ Flags ParseFlags(int argc, char** argv) {
       PrintUsage(argv[0]);
       std::exit(0);
     }
+    int window_us = 0;
+    if (ParseIntFlag(arg, "--coalesce-window-us", &window_us)) {
+      if (window_us != 0) {
+        std::fprintf(stderr,
+                     "resest_server: --coalesce-window-us is gone: batching "
+                     "is now work-conserving (only =0, an alias for "
+                     "--coalesce-max-rows=0, is accepted)\n");
+        std::exit(2);
+      }
+      flags.coalesce_max_rows = 0;
+      continue;
+    }
     if (ParseStringFlag(arg, "--address", &flags.address) ||
         ParseIntFlag(arg, "--port", &flags.port) ||
         ParseIntFlag(arg, "--threads", &flags.threads) ||
@@ -188,7 +200,6 @@ Flags ParseFlags(int argc, char** argv) {
         ParseIntFlag(arg, "--obslog-cap-mb", &flags.obslog_cap_mb) ||
         ParseIntFlag(arg, "--refit-interval-ms", &flags.refit_interval_ms) ||
         ParseIntFlag(arg, "--io-threads", &flags.io_threads) ||
-        ParseIntFlag(arg, "--coalesce-window-us", &flags.coalesce_window_us) ||
         ParseIntFlag(arg, "--coalesce-max-rows", &flags.coalesce_max_rows) ||
         ParseStringFlag(arg, "--tenants", &flags.tenants) ||
         ParseIntFlag(arg, "--tenant-cache-mb", &flags.tenant_cache_mb) ||
@@ -204,11 +215,10 @@ Flags ParseFlags(int argc, char** argv) {
     std::fprintf(stderr, "resest_server: --port must be in [0, 65535]\n");
     std::exit(2);
   }
-  if (flags.io_threads < 0 || flags.coalesce_window_us < 0 ||
-      flags.coalesce_max_rows < 0) {
+  if (flags.io_threads < 0 || flags.coalesce_max_rows < 0) {
     std::fprintf(stderr,
-                 "resest_server: --io-threads / --coalesce-window-us / "
-                 "--coalesce-max-rows must be >= 0\n");
+                 "resest_server: --io-threads / --coalesce-max-rows must be "
+                 ">= 0\n");
     std::exit(2);
   }
   if (flags.obslog_cap_mb < 0 || flags.refit_interval_ms < 0) {
@@ -284,12 +294,9 @@ int main(int argc, char** argv) {
         std::max<size_t>(1, static_cast<size_t>(flags.tenant_cache_mb) *
                                 (size_t{1} << 20) / kApproxCacheEntryBytes);
   }
-  tenant_options.coalescer.window_us =
-      static_cast<uint32_t>(flags.coalesce_window_us);
   tenant_options.coalescer.max_rows =
       static_cast<size_t>(flags.coalesce_max_rows);
-  tenant_options.enable_coalescing =
-      flags.coalesce_window_us > 0 && flags.coalesce_max_rows > 0;
+  tenant_options.enable_coalescing = flags.coalesce_max_rows > 0;
   tenant_options.data_dir = flags.data_dir;
   tenant_options.train.mart.num_trees = flags.trees;
   tenant_options.train.train_threads = threads;

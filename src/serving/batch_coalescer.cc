@@ -1,7 +1,8 @@
 #include "src/serving/batch_coalescer.h"
 
 #include <algorithm>
-#include <memory>
+#include <deque>
+#include <optional>
 #include <utility>
 
 namespace resest {
@@ -23,25 +24,17 @@ size_t Log2Bucket(double value) {
 
 BatchCoalescer::BatchCoalescer(const EstimationService* service,
                                CoalescerOptions options)
-    : service_(service), options_(options) {
-  effective_max_rows_ =
-      std::min(options_.max_rows, service_->options().max_batch_size);
-  enabled_ = options_.window_us > 0 && effective_max_rows_ > 1;
-  if (enabled_) {
-    flusher_ = std::thread([this] { FlusherMain(); });
-  }
-}
+    : service_(service),
+      max_rows_(std::min(options.max_rows,
+                         service->options().max_batch_size)) {}
 
 BatchCoalescer::~BatchCoalescer() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  flusher_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
   Flush();
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return inflight_ == 0; });
+  idle_cv_.wait(lock, [this] {
+    return std::all_of(lanes_.begin(), lanes_.end(),
+                       [](const Lane& lane) { return lane.inflight == 0; });
+  });
 }
 
 void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
@@ -49,8 +42,7 @@ void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
   const size_t n = rows.size();
   // Deadlines stay per-submission; oversized groups can't gain partners; an
   // empty group has nothing to merge. All forward solo with exact options.
-  if (!enabled_ || options.has_deadline() || n == 0 ||
-      n >= effective_max_rows_) {
+  if (max_rows_ < 2 || options.has_deadline() || n == 0 || n >= max_rows_) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.passthrough;
@@ -59,55 +51,53 @@ void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
     return;
   }
 
-  const size_t lane = static_cast<size_t>(options.priority);
-  std::vector<PendingFlush> to_submit;
+  const size_t index = static_cast<size_t>(options.priority);
+  std::optional<Batch> ahead;
+  std::optional<Batch> batch;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    Bucket& bucket = buckets_[lane];
-    if (!bucket.rows.empty() &&
-        (bucket.rows.size() + n > effective_max_rows_ ||
-         bucket.tenant != options.tenant)) {
-      // No room, or another tenant's rows are pending — tenants never
-      // share a merged batch.
-      to_submit.push_back(TakeLocked(lane, FlushReason::kFull));
+    std::lock_guard<std::mutex> lock(mu_);
+    Lane& lane = lanes_[index];
+    if (!lane.rows.empty() && (lane.rows.size() + n > max_rows_ ||
+                               lane.tenant != options.tenant)) {
+      // No room, or another tenant's rows are queued — tenants never share
+      // a merged batch.
+      ahead = TakeLocked(index, FlushReason::kFull);
     }
-    const bool first = bucket.entries.empty();
-    if (first) bucket.tenant = options.tenant;
+    if (lane.entries.empty()) lane.tenant = options.tenant;
     Entry entry;
     entry.done = std::move(done);
-    entry.offset = bucket.rows.size();
+    entry.offset = lane.rows.size();
     entry.count = n;
     entry.enqueued = std::chrono::steady_clock::now();
-    bucket.entries.push_back(std::move(entry));
-    bucket.rows.insert(bucket.rows.end(),
-                       std::make_move_iterator(rows.begin()),
-                       std::make_move_iterator(rows.end()));
+    lane.entries.push_back(std::move(entry));
+    lane.rows.insert(lane.rows.end(), std::make_move_iterator(rows.begin()),
+                     std::make_move_iterator(rows.end()));
     ++stats_.submissions;
     if (options.priority == TaskPriority::kUrgent) {
       // Urgent never waits: take whatever raced in and go.
-      to_submit.push_back(TakeLocked(lane, FlushReason::kUrgent));
-    } else if (bucket.rows.size() >= effective_max_rows_) {
-      to_submit.push_back(TakeLocked(lane, FlushReason::kFull));
-    } else if (first) {
-      bucket.deadline = entry.enqueued +
-                        std::chrono::microseconds(options_.window_us);
-      flusher_cv_.notify_one();
+      batch = TakeLocked(index, FlushReason::kUrgent);
+    } else if (lane.rows.size() >= max_rows_) {
+      batch = TakeLocked(index, FlushReason::kFull);
+    } else if (lane.inflight == 0) {
+      batch = TakeLocked(index, FlushReason::kIdle);
     }
+    // Otherwise the rows ride the batch queued after the running one.
   }
-  for (auto& flush : to_submit) SubmitMerged(std::move(flush));
+  if (ahead) Launch(std::move(*ahead));
+  if (batch) Launch(std::move(*batch));
 }
 
 void BatchCoalescer::Flush() {
-  std::vector<PendingFlush> to_submit;
+  std::vector<Batch> batches;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t lane = 0; lane < buckets_.size(); ++lane) {
-      if (!buckets_[lane].entries.empty()) {
-        to_submit.push_back(TakeLocked(lane, FlushReason::kDrain));
+    for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+      if (!lanes_[lane].entries.empty()) {
+        batches.push_back(TakeLocked(lane, FlushReason::kDrain));
       }
     }
   }
-  for (auto& flush : to_submit) SubmitMerged(std::move(flush));
+  for (Batch& batch : batches) Launch(std::move(batch));
 }
 
 CoalescerStats BatchCoalescer::stats() const {
@@ -115,100 +105,103 @@ CoalescerStats BatchCoalescer::stats() const {
   return stats_;
 }
 
-BatchCoalescer::PendingFlush BatchCoalescer::TakeLocked(size_t lane,
-                                                        FlushReason reason) {
-  Bucket& bucket = buckets_[lane];
-  PendingFlush flush;
-  flush.rows = std::move(bucket.rows);
-  flush.entries = std::move(bucket.entries);
-  flush.tenant = std::move(bucket.tenant);
-  flush.priority = static_cast<TaskPriority>(lane);
-  flush.reason = reason;
-  bucket.rows.clear();
-  bucket.entries.clear();
-  bucket.tenant.clear();
-  return flush;
+BatchCoalescer::Batch BatchCoalescer::TakeLocked(size_t index,
+                                                 FlushReason reason) {
+  Lane& lane = lanes_[index];
+  Batch batch;
+  batch.rows = std::move(lane.rows);
+  batch.entries = std::move(lane.entries);
+  batch.tenant = std::move(lane.tenant);
+  batch.lane = index;
+  lane.rows.clear();
+  lane.entries.clear();
+  lane.tenant.clear();
+  ++lane.inflight;
+
+  ++stats_.batches;
+  stats_.coalesced_rows += batch.rows.size();
+  switch (reason) {
+    case FlushReason::kIdle: ++stats_.flush_idle; break;
+    case FlushReason::kChained: ++stats_.flush_chained; break;
+    case FlushReason::kFull: ++stats_.flush_full; break;
+    case FlushReason::kUrgent: ++stats_.flush_urgent; break;
+    case FlushReason::kDrain: ++stats_.flush_drain; break;
+  }
+  stats_.batch_rows_histogram[Log2Bucket<kCoalesceRowsBuckets>(
+      static_cast<double>(batch.rows.size()))]++;
+  const auto now = std::chrono::steady_clock::now();
+  for (const Entry& e : batch.entries) {
+    const double wait_us =
+        std::chrono::duration<double, std::micro>(now - e.enqueued).count();
+    stats_.total_wait_us += wait_us;
+    stats_.wait_histogram[Log2Bucket<kCoalesceWaitBuckets>(wait_us)]++;
+  }
+  return batch;
 }
 
-void BatchCoalescer::SubmitMerged(PendingFlush flush) {
-  if (flush.entries.empty()) return;
-  const auto now = std::chrono::steady_clock::now();
+void BatchCoalescer::Launch(Batch batch) {
+  // The innermost Launch loop running on this thread. While it is inside
+  // SubmitBatch, a batch of this coalescer completing inline chains its
+  // successor here, and the loop submits it once SubmitBatch returns.
+  struct Trampoline {
+    const BatchCoalescer* owner;
+    std::deque<Batch>* queue;
+  };
+  static thread_local Trampoline* active = nullptr;
+  if (active != nullptr && active->owner == this) {
+    active->queue->push_back(std::move(batch));
+    return;
+  }
+  std::deque<Batch> queue;
+  queue.push_back(std::move(batch));
+  Trampoline self{this, &queue};
+  Trampoline* const outer = active;
+  active = &self;
+  // Every queued batch holds an in-flight slot, so `this` outlives the loop
+  // body; once the queue is empty the destructor may already have run.
+  while (!queue.empty()) {
+    Batch next = std::move(queue.front());
+    queue.pop_front();
+    SubmitOptions options;
+    options.priority = static_cast<TaskPriority>(next.lane);
+    options.tenant = std::move(next.tenant);
+    service_->SubmitBatch(
+        std::move(next.rows),
+        [this, lane = next.lane, entries = std::move(next.entries)](
+            std::vector<EstimateResult> results) mutable {
+          Complete(lane, &entries, std::move(results));
+        },
+        options);
+  }
+  active = outer;
+}
+
+void BatchCoalescer::Complete(size_t index, std::vector<Entry>* entries,
+                              std::vector<EstimateResult> results) {
+  for (Entry& e : *entries) {
+    std::vector<EstimateResult> slice(
+        std::make_move_iterator(results.begin() + e.offset),
+        std::make_move_iterator(results.begin() + e.offset + e.count));
+    e.done(std::move(slice));
+  }
+  std::optional<Batch> chained;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batches;
-    stats_.coalesced_rows += flush.rows.size();
-    switch (flush.reason) {
-      case FlushReason::kWindow: ++stats_.flush_window; break;
-      case FlushReason::kFull: ++stats_.flush_full; break;
-      case FlushReason::kUrgent: ++stats_.flush_urgent; break;
-      case FlushReason::kDrain: ++stats_.flush_drain; break;
+    Lane& lane = lanes_[index];
+    // Release this batch's slot and take the queued rows in one critical
+    // section: the lane stays in flight across the hand-off, so the
+    // destructor cannot return in between.
+    --lane.inflight;
+    if (!lane.entries.empty()) {
+      chained = TakeLocked(index, FlushReason::kChained);
+    } else if (lane.inflight == 0) {
+      // Notify under the lock: the destructor destroys idle_cv_ as soon as
+      // it observes every lane idle, so an unlocked notify could touch a
+      // dead condition variable.
+      idle_cv_.notify_all();
     }
-    stats_.batch_rows_histogram[Log2Bucket<kCoalesceRowsBuckets>(
-        static_cast<double>(flush.rows.size()))]++;
-    for (const Entry& e : flush.entries) {
-      const double wait_us =
-          std::chrono::duration<double, std::micro>(now - e.enqueued).count();
-      stats_.total_wait_us += wait_us;
-      stats_.wait_histogram[Log2Bucket<kCoalesceWaitBuckets>(wait_us)]++;
-    }
-    ++inflight_;
   }
-
-  auto entries =
-      std::make_shared<std::vector<Entry>>(std::move(flush.entries));
-  SubmitOptions merged_options;
-  merged_options.priority = flush.priority;
-  merged_options.tenant = std::move(flush.tenant);
-  service_->SubmitBatch(
-      std::move(flush.rows),
-      [this, entries](std::vector<EstimateResult> results) {
-        for (Entry& e : *entries) {
-          std::vector<EstimateResult> slice(
-              std::make_move_iterator(results.begin() + e.offset),
-              std::make_move_iterator(results.begin() + e.offset + e.count));
-          e.done(std::move(slice));
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          --inflight_;
-          // Notify under the lock: the destructor destroys idle_cv_ as soon
-          // as it observes inflight_ == 0, so an unlocked notify could touch
-          // a dead condition variable.
-          idle_cv_.notify_all();
-        }
-      },
-      merged_options);
-}
-
-void BatchCoalescer::FlusherMain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    // Earliest armed deadline across the buckets, if any.
-    bool armed = false;
-    std::chrono::steady_clock::time_point next{};
-    for (const Bucket& bucket : buckets_) {
-      if (bucket.entries.empty()) continue;
-      if (!armed || bucket.deadline < next) next = bucket.deadline;
-      armed = true;
-    }
-    if (!armed) {
-      flusher_cv_.wait(lock);
-      continue;
-    }
-    if (flusher_cv_.wait_until(lock, next) == std::cv_status::no_timeout) {
-      continue;  // New bucket armed or stopping; recompute.
-    }
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<PendingFlush> to_submit;
-    for (size_t lane = 0; lane < buckets_.size(); ++lane) {
-      if (!buckets_[lane].entries.empty() && buckets_[lane].deadline <= now) {
-        to_submit.push_back(TakeLocked(lane, FlushReason::kWindow));
-      }
-    }
-    lock.unlock();
-    for (auto& flush : to_submit) SubmitMerged(std::move(flush));
-    lock.lock();
-  }
+  if (chained) Launch(std::move(*chained));
 }
 
 }  // namespace resest

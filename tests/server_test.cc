@@ -4,6 +4,7 @@
 // including the core promise that estimates served over HTTP are
 // bit-identical to calling EstimationService::EstimateBatch directly, and
 // that SIGTERM drains the real binary with zero dropped responses.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -1024,11 +1025,15 @@ class ServerFrontendTest : public ::testing::Test {
          {"resest_http_connections_accepted_total",
           "resest_http_keepalive_requests_total",
           "resest_coalesce_submissions_total",
+          "resest_coalesce_flushes_total{trigger=\"idle\"}",
+          "resest_coalesce_flushes_total{trigger=\"chained\"}",
           "resest_coalesce_flushes_total{trigger=\"urgent\"}",
           "resest_coalesce_batch_rows_bucket",
           "resest_coalesce_wait_seconds_count"}) {
       EXPECT_NE(metrics.body.find(family), std::string::npos) << family;
     }
+    // Batching has no timed window, so no window trigger is exported.
+    EXPECT_EQ(metrics.body.find("trigger=\"window\""), std::string::npos);
 
     server.Stop();
     EXPECT_EQ(server.active_connections(), 0u);
@@ -1277,13 +1282,38 @@ TEST_F(ServerFrontendTest, CoalescedResponsesBitIdenticalToSoloEpoll) {
   RunCoalescedLoopback();
 }
 
-TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitForBulkCoalesceWindow) {
-  // An absurdly long window makes any accidental wait unmissable: a bulk
-  // request opens the window, and an urgent request posted inside it must
-  // flush immediately rather than ride the bulk deadline.
-  CoalescerOptions copts;
-  copts.window_us = 1000 * 1000;
-  BatchCoalescer coalescer(service_.get(), copts);
+TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindRunningBulkBatch) {
+  // A bulk batch is held mid-run by the chunk-claim hook, a second bulk
+  // request queues behind it in the coalescer, and an urgent request posted
+  // meanwhile must be answered while the bulk batch is still held. The
+  // watchdog turns an urgent request stuck behind bulk work into a failure
+  // rather than a hang.
+  std::promise<void> bulk_claimed;
+  std::promise<void> release_bulk;
+  std::shared_future<void> release = release_bulk.get_future().share();
+  std::atomic<bool> first_bulk_claim{true};
+  ServiceOptions gated_options;
+  gated_options.chunk_claim_hook = [&](TaskPriority priority, bool) {
+    if (priority == TaskPriority::kBulk && first_bulk_claim.exchange(false)) {
+      bulk_claimed.set_value();
+      release.wait();
+    }
+  };
+  EstimationService gated(registry_.get(), pool_.get(), gated_options);
+
+  const std::string bulk_body = WireBatchBody(OperatorRequests(7, 3), "bulk");
+  const std::string bulk_expected =
+      frontend_->Handle(Post("/v1/estimate", bulk_body)).body;
+  const std::string queued_body =
+      WireBatchBody(OperatorRequests(6, 9), "bulk");
+  const std::string queued_expected =
+      frontend_->Handle(Post("/v1/estimate", queued_body)).body;
+  const std::string urgent_body =
+      WireBatchBody(OperatorRequests(5, 21), "urgent");
+  const std::string urgent_expected =
+      frontend_->Handle(Post("/v1/estimate", urgent_body)).body;
+
+  BatchCoalescer coalescer(&gated);
   frontend_->set_coalescer(&coalescer);
   HttpServer server(
       [this](const HttpRequest& r, HttpResponseSender respond) {
@@ -1293,60 +1323,67 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitForBulkCoalesceWindow) {
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
-  const std::string bulk_body = WireBatchBody(OperatorRequests(7, 3), "bulk");
-  const std::string bulk_expected =
-      frontend_->Handle(Post("/v1/estimate", bulk_body)).body;
-  const std::string urgent_body =
-      WireBatchBody(OperatorRequests(5, 21), "urgent");
-  const std::string urgent_expected =
-      frontend_->Handle(Post("/v1/estimate", urgent_body)).body;
-
-  std::thread bulk_client([&]() {
+  const auto post_bulk = [&](const std::string& body,
+                             const std::string& expected) {
     HttpClient client;
     std::string cerror;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &cerror)) << cerror;
     HttpClientResponse response;
-    ASSERT_TRUE(client.Post("/v1/estimate", bulk_body, &response, &cerror))
+    ASSERT_TRUE(client.Post("/v1/estimate", body, &response, &cerror))
         << cerror;
     EXPECT_EQ(response.status, 200);
-    EXPECT_EQ(response.body, bulk_expected);
+    EXPECT_EQ(response.body, expected);
+  };
+  std::atomic<bool> released{false};
+  const auto open_gate = [&]() {
+    if (!released.exchange(true)) release_bulk.set_value();
+  };
+  std::thread watchdog([&]() {
+    if (release.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      open_gate();
+    }
   });
-  // Wait until the bulk rows are actually parked in the window.
-  for (int spin = 0; spin < 2000 && coalescer.stats().submissions == 0;
+  std::thread bulk_client([&]() { post_bulk(bulk_body, bulk_expected); });
+  EXPECT_EQ(bulk_claimed.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  // The lane is busy, so the second bulk request queues instead of
+  // launching a batch of its own.
+  std::thread queued_client([&]() { post_bulk(queued_body, queued_expected); });
+  for (int spin = 0; spin < 2000 && coalescer.stats().submissions < 2;
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(coalescer.stats().submissions, 1u);
+  EXPECT_EQ(coalescer.stats().submissions, 2u);
+  EXPECT_EQ(coalescer.stats().batches, 1u);
 
   HttpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
-  const auto start = std::chrono::steady_clock::now();
   HttpClientResponse response;
-  ASSERT_TRUE(client.Post("/v1/estimate", urgent_body, &response, &error))
+  EXPECT_TRUE(client.Connect("127.0.0.1", server.port(), &error) &&
+              client.Post("/v1/estimate", urgent_body, &response, &error))
       << error;
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+  EXPECT_FALSE(released.load()) << "urgent waited behind the bulk batch";
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, urgent_expected);
-  EXPECT_LT(elapsed_ms, 500.0) << "urgent waited on the bulk window";
 
+  open_gate();
   bulk_client.join();
+  queued_client.join();
+  watchdog.join();
   const CoalescerStats stats = coalescer.stats();
-  EXPECT_GE(stats.flush_urgent, 1u);
-  EXPECT_GE(stats.flush_window, 1u);
+  EXPECT_EQ(stats.flush_urgent, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);     // the first bulk request
+  EXPECT_EQ(stats.flush_chained, 1u);  // the queued one, once it finished
+  EXPECT_EQ(stats.flush_window, 0u);
   server.Stop();
   frontend_->set_coalescer(nullptr);
 }
 
 TEST_F(ServerFrontendTest, MalformedRequestIsolatedFromCoalescedWindow) {
   // Wire-parse rejection happens on the I/O thread before the coalescer:
-  // a malformed request answered 400 inside an open window must never
+  // a malformed request answered 400 between coalesced ones must never
   // poison the merged batch the valid requests ride in.
-  CoalescerOptions copts;
-  copts.window_us = 50 * 1000;
-  BatchCoalescer coalescer(service_.get(), copts);
+  BatchCoalescer coalescer(service_.get());
   frontend_->set_coalescer(&coalescer);
   HttpServer server(
       [this](const HttpRequest& r, HttpResponseSender respond) {
@@ -1706,6 +1743,92 @@ TEST_F(ServerFrontendTest, OutOfRangeIntegerFlagIsAUsageError) {
     EXPECT_NE(err.find("bad integer"), std::string::npos)
         << flag << ": " << err;
   }
+}
+
+TEST_F(ServerFrontendTest, CoalesceWindowFlagOnlyAcceptsZeroAsCoalescingOff) {
+  const char* bin = std::getenv("RESEST_SERVER_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "RESEST_SERVER_BIN not set (ctest sets it)";
+  }
+  // =0 is the deprecated spelling of --coalesce-max-rows=0: the server
+  // starts, answers estimates, and runs without a coalescer (no
+  // resest_coalesce_* families in /metrics).
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    const std::string model_flag = "--model=" + *model_path_;
+    ::execl(bin, bin, "--port=0", "--threads=2", model_flag.c_str(),
+            "--model-name=default", "--coalesce-window-us=0",
+            static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  ::close(out_pipe[1]);
+  FILE* out = ::fdopen(out_pipe[0], "r");
+  ASSERT_NE(out, nullptr);
+  char line[256] = {0};
+  ASSERT_NE(std::fgets(line, sizeof(line), out), nullptr);
+  unsigned port = 0;
+  ASSERT_EQ(
+      std::sscanf(line, "resest_server listening on 127.0.0.1:%u", &port), 1)
+      << line;
+
+  const std::string body = WireBatchBody(OperatorRequests(6, 5), "normal");
+  const std::string expected = frontend_->Handle(Post("/v1/estimate", body)).body;
+  HttpClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", static_cast<uint16_t>(port), &error))
+      << error;
+  HttpClientResponse response;
+  ASSERT_TRUE(client.Post("/v1/estimate", body, &response, &error)) << error;
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, expected);
+  HttpClientResponse metrics;
+  ASSERT_TRUE(client.Get("/metrics", &metrics, &error)) << error;
+  EXPECT_NE(metrics.body.find("resest_http_requests_total"), std::string::npos);
+  EXPECT_EQ(metrics.body.find("resest_coalesce_"), std::string::npos);
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  while (std::fgets(line, sizeof(line), out) != nullptr) {
+  }
+  std::fclose(out);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  // Any other value is a usage error naming the new batching rule. The
+  // missing model would make a run that got past flag parsing exit 1.
+  int err_pipe[2];
+  ASSERT_EQ(::pipe(err_pipe), 0);
+  pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    ::close(err_pipe[0]);
+    ::close(err_pipe[1]);
+    const std::string model_flag =
+        "--model=" + ::testing::TempDir() + "resest_no_such.model";
+    ::execl(bin, bin, "--coalesce-window-us=100", model_flag.c_str(),
+            static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  ::close(err_pipe[1]);
+  std::string err;
+  char chunk[256];
+  ssize_t n;
+  while ((n = ::read(err_pipe[0], chunk, sizeof(chunk))) > 0) {
+    err.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(err_pipe[0]);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << err;
+  EXPECT_NE(err.find("work-conserving"), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@
 // hot-swap under concurrent readers, and the estimation service — blocking
 // and async submission — including the core contract that pooled batched
 // results are bit-identical to the serial ResourceEstimator path.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/thread_pool.h"
+#include "src/serving/batch_coalescer.h"
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
 #include "src/training/incremental_trainer.h"
@@ -1235,6 +1240,192 @@ TEST_F(ServingTest, PipelineEstimatesMatchDirectCall) {
   for (size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(via_service[i], direct[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// BatchCoalescer: work-conserving flushes, driven deterministically by a
+// pool whose only worker is parked on a gate task.
+// ---------------------------------------------------------------------------
+
+/// Parks a one-worker pool until Open(): batches submitted meanwhile stay
+/// in flight.
+class PoolGate {
+ public:
+  explicit PoolGate(ThreadPool* pool) {
+    std::promise<void> entered;
+    std::shared_future<void> open = open_.get_future().share();
+    pool->Submit([&entered, open]() {
+      entered.set_value();
+      open.wait();
+    });
+    entered.get_future().wait();
+  }
+  void Open() { open_.set_value(); }
+
+ private:
+  std::promise<void> open_;
+};
+
+/// Collects one submission's results; counts how often its callback ran.
+struct Delivery {
+  std::vector<EstimateResult> results;
+  std::atomic<int> calls{0};
+  std::promise<void> done;
+
+  BatchCallback Callback() {
+    return [this](std::vector<EstimateResult> r) {
+      results = std::move(r);
+      if (calls.fetch_add(1) == 0) done.set_value();
+    };
+  }
+};
+
+TEST_F(ServingTest, CoalescerSendsRowsQueuedBehindRunningBatchAsOneBatch) {
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+  EstimationService service(&registry, &pool);
+  const auto all = QueueRequests(Resource::kCpu);
+  ASSERT_GE(all.size(), 12u);
+  BatchCoalescer coalescer(&service);
+  PoolGate gate(&pool);
+  const std::vector<std::vector<EstimateRequest>> groups = {
+      {all.begin(), all.begin() + 3},
+      {all.begin() + 3, all.begin() + 7},
+      {all.begin() + 7, all.begin() + 12}};
+  Delivery deliveries[3];
+  // A reaches an idle lane and is sent at once; it stays in flight behind
+  // the gate, so B and C queue.
+  coalescer.Submit(groups[0], {}, deliveries[0].Callback());
+  coalescer.Submit(groups[1], {}, deliveries[1].Callback());
+  coalescer.Submit(groups[2], {}, deliveries[2].Callback());
+  CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.submissions, 3u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+
+  // A's completion sends B and C together, on the worker that ran A.
+  gate.Open();
+  for (Delivery& d : deliveries) d.done.get_future().wait();
+  stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_chained, 1u);
+  EXPECT_EQ(stats.coalesced_rows, 12u);
+  EXPECT_EQ(stats.flush_window, 0u);
+  EXPECT_EQ(service.stats().batches, 2u);
+
+  // Every slice is bit-identical to the same rows estimated solo.
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const auto solo = service.EstimateBatch(groups[g]);
+    const auto& got = deliveries[g].results;
+    ASSERT_EQ(got.size(), solo.size()) << "group " << g;
+    for (size_t i = 0; i < solo.size(); ++i) {
+      ASSERT_TRUE(got[i].ok()) << "group " << g << " row " << i;
+      EXPECT_EQ(got[i].value, solo[i].value) << "group " << g << " row " << i;
+      EXPECT_EQ(got[i].model_version, solo[i].model_version);
+    }
+    EXPECT_EQ(deliveries[g].calls.load(), 1);
+  }
+}
+
+TEST_F(ServingTest, CoalescerLoneSubmissionToIdleLaneFlushesAtOnce) {
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(2);
+  EstimationService service(&registry, &pool);
+  BatchCoalescer coalescer(&service);
+
+  const auto all = QueueRequests(Resource::kIo);
+  const std::vector<EstimateRequest> rows(all.begin(), all.begin() + 4);
+  Delivery delivery;
+  coalescer.Submit(rows, {}, delivery.Callback());
+  // Sent on the calling thread before Submit returned: no timer involved.
+  const CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_chained + stats.flush_full + stats.flush_urgent +
+                stats.flush_drain + stats.flush_window,
+            0u);
+  delivery.done.get_future().wait();
+  const auto solo = service.EstimateBatch(rows);
+  ASSERT_EQ(delivery.results.size(), solo.size());
+  for (size_t i = 0; i < solo.size(); ++i) {
+    EXPECT_EQ(delivery.results[i].value, solo[i].value) << "row " << i;
+  }
+}
+
+TEST_F(ServingTest, CoalescerDestroyedWithQueuedRowsFiresEveryCallbackOnce) {
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+  EstimationService service(&registry, &pool);
+  auto coalescer = std::make_unique<BatchCoalescer>(&service);
+  PoolGate gate(&pool);
+
+  const auto all = QueueRequests(Resource::kCpu);
+  Delivery deliveries[3];
+  for (size_t g = 0; g < 3; ++g) {
+    coalescer->Submit(std::vector<EstimateRequest>(all.begin() + g * 2,
+                                                   all.begin() + g * 2 + 2),
+                      {}, deliveries[g].Callback());
+  }
+  EXPECT_EQ(coalescer->stats().batches, 1u);  // B and C are queued
+  // The destructor drains the queued rows and blocks until every callback
+  // has run, which needs the gate open.
+  std::thread opener([&gate]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Open();
+  });
+  coalescer.reset();
+  for (const Delivery& d : deliveries) {
+    EXPECT_EQ(d.calls.load(), 1);
+    ASSERT_EQ(d.results.size(), 2u);
+    for (const auto& r : d.results) EXPECT_TRUE(r.ok());
+  }
+  opener.join();
+  pool.Wait();
+  for (const Delivery& d : deliveries) EXPECT_EQ(d.calls.load(), 1);
+}
+
+TEST_F(ServingTest, CoalescerChainsInlineCompletionsWithoutStackGrowth) {
+  // With no model published every batch completes inline, inside
+  // SubmitBatch. Each callback submits the next request, which queues behind
+  // the still-running batch and is chained by its completion: 10k hand-offs
+  // that must run as a loop on this thread, not as nested calls.
+  ModelRegistry registry;
+  ThreadPool pool(1);
+  EstimationService service(&registry, &pool);
+  BatchCoalescer coalescer(&service);
+  const EstimateRequest request = QueueRequests(Resource::kCpu)[0];
+
+  constexpr int kSubmissions = 10000;
+  int completed = 0;
+  int not_found = 0;
+  uintptr_t lowest = UINTPTR_MAX;
+  uintptr_t highest = 0;
+  std::function<void()> submit_next;
+  submit_next = [&]() {
+    coalescer.Submit({request}, {}, [&](std::vector<EstimateResult> results) {
+      const char marker = 0;
+      const auto here = reinterpret_cast<uintptr_t>(&marker);
+      lowest = std::min(lowest, here);
+      highest = std::max(highest, here);
+      if (results.size() == 1 &&
+          results[0].status == EstimateStatus::kModelNotFound) {
+        ++not_found;
+      }
+      if (++completed < kSubmissions) submit_next();
+    });
+  };
+  submit_next();
+  EXPECT_EQ(completed, kSubmissions);
+  EXPECT_EQ(not_found, kSubmissions);
+  EXPECT_LT(highest - lowest, 64u * 1024u) << "stack grew across hand-offs";
+  const CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, static_cast<uint64_t>(kSubmissions));
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_chained, static_cast<uint64_t>(kSubmissions - 1));
 }
 
 }  // namespace

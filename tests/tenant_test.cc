@@ -423,7 +423,6 @@ TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.coalescer.window_us = 50;
   options.coalescer.max_rows = 64;
   TenantManager manager(&registry, &pool, options);
   ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
