@@ -9,7 +9,8 @@
 //     TaskPriority::kBulk batches, and
 //   * the admission queue's per-query probes, each a small latency-critical
 //     TaskPriority::kUrgent request with a deadline.
-// The urgent probes overtake the queued bulk work at chunk granularity, so
+// Each urgent probe is a one-request batch, estimated on the admission
+// thread itself instead of queueing behind the bulk work on the pool, so
 // admission decisions stay fast while the scan grinds on; any probe that
 // misses its deadline falls back to the adjusted-optimizer estimate instead
 // of blocking the admission loop.
@@ -153,7 +154,8 @@ int main() {
 
   // Admission probes: one kUrgent request per queued query, each with a
   // deadline. With FIFO scheduling these would queue behind ~1500 scan
-  // requests; the urgent lane answers them at chunk granularity instead.
+  // requests; a one-request batch instead runs to completion on this thread
+  // (see kInlineBatchMaxItems) and never waits for the pool the scan holds.
   std::vector<EstimateRequest> probes;
   for (const auto& eq : queue) {
     probes.push_back({&eq.plan, eq.database, Resource::kCpu});
@@ -172,8 +174,8 @@ int main() {
     probe_futures.push_back(service.SubmitEstimate(probe, urgent));
   }
 
-  // The admission thread is free while the pool estimates: train the OPT
-  // baseline concurrently, then collect probes and (later) the scan.
+  // The probes are answered; train the OPT baseline while the pool works
+  // through the scan, then collect probes and (later) the scan.
   const auto opt = TrainTechnique("OPT", train, FeatureMode::kEstimated);
 
   std::vector<double> scaling_est, opt_est, oracle_est;

@@ -16,6 +16,8 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "src/common/loop_pass.h"
+
 namespace resest {
 namespace {
 
@@ -528,13 +530,18 @@ void HttpServer::LoopMain(IoLoop* loop) {
       listen_fd_ = -1;
     }
 
-    for (int fd : incoming) AdoptConnection(loop, fd);
-    for (auto& completion : completions) {
-      DeliverResponse(loop, completion.first, std::move(completion.second));
+    {
+      // Work that handlers defer with LoopPass::Defer runs when this scope
+      // closes, after every ready request was parsed.
+      LoopPass pass;
+      for (int fd : incoming) AdoptConnection(loop, fd);
+      for (auto& completion : completions) {
+        DeliverResponse(loop, completion.first, std::move(completion.second));
+      }
+      if (listener_ready && !draining) AcceptReady(loop);
+      for (uint64_t id : ready_write) OnWritable(loop, id);
+      for (uint64_t id : ready_read) OnReadable(loop, id);
     }
-    if (listener_ready && !draining) AcceptReady(loop);
-    for (uint64_t id : ready_write) OnWritable(loop, id);
-    for (uint64_t id : ready_read) OnReadable(loop, id);
 
     SweepConnections(loop);
 

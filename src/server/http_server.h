@@ -16,7 +16,18 @@
 // the owning loop), which is what lets the serving layer defer a request
 // into a cross-request batch without blocking the loop. A handler with
 // blocking work hands it to its own thread or pool and responds from
-// there.
+// there. Work a handler does inline delays every other connection on the
+// same loop.
+//
+// Passes: each loop iteration handles the events of one epoll_wait inside
+// a LoopPass (src/common/loop_pass.h); work a handler defers with
+// LoopPass::Defer runs on the loop when the pass ends, after every request
+// the pass read was parsed. The serving layer's coalescer sends the pass's
+// requests as one batch there. A lone request of at most
+// kInlineBatchMaxItems work items (src/serving/estimation_service.h) is
+// estimated to completion on the loop thread, so it delays the loop's next
+// request by its own execution time; a pass that read several hands their
+// batch to the pool.
 //
 // Lifecycle: Start() binds and spawns the loops; Stop() closes the
 // listener (no new connections), closes idle keep-alive connections — a
@@ -87,8 +98,11 @@ class HttpResponseSender {
 
 /// Handles one parsed request and eventually invokes `respond` exactly once
 /// (synchronously or from any other thread). Runs on an I/O loop thread, so
-/// it must not block. An escaping exception is answered with a 500 so the
-/// connection stays intact.
+/// it must not block; whatever it computes inline, or defers to the end of
+/// the loop's pass (the serving layer runs small estimate batches to
+/// completion there), delays the loop's next request by that long. An
+/// escaping exception is answered with a 500 so the connection stays
+/// intact.
 using HttpAsyncHandler =
     std::function<void(const HttpRequest&, HttpResponseSender)>;
 
@@ -109,8 +123,8 @@ struct HttpServerOptions {
   /// never time out.
   int idle_timeout_ms = 30 * 1000;
   /// Event-loop threads. 0 = auto: half the hardware threads, clamped to
-  /// [1, 4] — the loops only shuffle bytes, the estimation work happens on
-  /// the shared ThreadPool.
+  /// [1, 4] — the loops shuffle bytes and run small estimate batches; larger
+  /// batches run on the shared ThreadPool.
   size_t io_threads = 0;
   /// Housekeeping hook run on loop 0's sweep pass — the event loop's timer
   /// path, firing at least every poll_interval_ms while the server runs.

@@ -172,7 +172,7 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
                 bounds, counts, lane.total_latency_ms / 1e3, lane.batches);
   }
 
-  // Estimate cache, totals then the per-shard breakdown.
+  // Estimate cache: totals, then hits by shard.
   w.BeginFamily("resest_cache_hits_total", "Estimate cache hits.", "counter");
   w.Sample("resest_cache_hits_total", {}, s.cache_hits);
   w.BeginFamily("resest_cache_misses_total", "Estimate cache misses.",
@@ -193,18 +193,6 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
   for (size_t i = 0; i < snapshot.cache.shards.size(); ++i) {
     w.Sample("resest_cache_shard_hits_total", {{"shard", std::to_string(i)}},
              snapshot.cache.shards[i].hits);
-  }
-  w.BeginFamily("resest_cache_shard_misses_total",
-                "Estimate cache misses, by shard.", "counter");
-  for (size_t i = 0; i < snapshot.cache.shards.size(); ++i) {
-    w.Sample("resest_cache_shard_misses_total", {{"shard", std::to_string(i)}},
-             snapshot.cache.shards[i].misses);
-  }
-  w.BeginFamily("resest_cache_shard_entries",
-                "Estimate cache current size, by shard.", "gauge");
-  for (size_t i = 0; i < snapshot.cache.shards.size(); ++i) {
-    w.Sample("resest_cache_shard_entries", {{"shard", std::to_string(i)}},
-             static_cast<uint64_t>(snapshot.cache.shards[i].entries));
   }
 
   // Model lineage: the active version plus every slot's last-changed

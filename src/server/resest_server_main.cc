@@ -102,9 +102,11 @@ void PrintUsage(const char* argv0) {
       "  --io-threads=N     event-loop threads for the HTTP front end\n"
       "                     (default 0 = half the cores, clamped to [1,4])\n"
       "  --coalesce-max-rows=N  cap on a coalesced /v1/estimate batch.\n"
-      "                     Batching is work-conserving: a request to an\n"
-      "                     idle lane runs at once, and requests arriving\n"
-      "                     while a batch runs merge into the next one\n"
+      "                     Batching is work-conserving: the requests an\n"
+      "                     I/O loop pass reads for an idle lane run as\n"
+      "                     one batch when the pass ends, and requests\n"
+      "                     arriving while a batch runs merge into the\n"
+      "                     next one\n"
       "                     (default 1024; 0 disables coalescing)\n"
       "  --coalesce-window-us=0  deprecated alias for\n"
       "                     --coalesce-max-rows=0; other values are rejected\n"

@@ -64,9 +64,13 @@ class ServingFrontend {
   ///   frontend.HandleAsync(r, std::move(respond)); }).
   /// /v1/estimate goes through the coalescer (when attached) or the
   /// service's asynchronous SubmitBatch, so the calling I/O thread never
-  /// blocks on estimation; `respond` is invoked exactly once, possibly from
-  /// another thread. Every other route is answered inline via Handle(). The
-  /// response bytes are identical to Handle()'s for the same request.
+  /// waits on another thread's estimation; a small batch (at most
+  /// kInlineBatchMaxItems work items) is estimated on the I/O thread itself
+  /// — before this returns without a coalescer, at the end of the loop's
+  /// pass with one, when the pass read no other request. `respond` is
+  /// invoked exactly once, possibly from another thread. Every other route
+  /// is answered inline via Handle(). The response bytes are identical to
+  /// Handle()'s for the same request.
   void HandleAsync(const HttpRequest& request,
                    std::function<void(HttpResponse)> respond) const;
 

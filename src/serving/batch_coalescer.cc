@@ -1,12 +1,17 @@
 #include "src/serving/batch_coalescer.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <utility>
 
+#include "src/common/loop_pass.h"
+
 namespace resest {
 namespace {
+
+/// The coalescer whose Launch() is inside SubmitBatch on this thread, so
+/// Complete() can tell an inline completion from one on another thread.
+thread_local const BatchCoalescer* tl_submitting = nullptr;
 
 // Index of the power-of-two bucket counting `value`: the first i with
 // value < 2^i, saturated to the last bucket.
@@ -31,10 +36,7 @@ BatchCoalescer::BatchCoalescer(const EstimationService* service,
 BatchCoalescer::~BatchCoalescer() {
   Flush();
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return std::all_of(lanes_.begin(), lanes_.end(),
-                       [](const Lane& lane) { return lane.inflight == 0; });
-  });
+  idle_cv_.wait(lock, [this] { return IdleLocked(); });
 }
 
 void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
@@ -54,6 +56,7 @@ void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
   const size_t index = static_cast<size_t>(options.priority);
   std::optional<Batch> ahead;
   std::optional<Batch> batch;
+  bool hold = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     Lane& lane = lanes_[index];
@@ -78,13 +81,44 @@ void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
       batch = TakeLocked(index, FlushReason::kUrgent);
     } else if (lane.rows.size() >= max_rows_) {
       batch = TakeLocked(index, FlushReason::kFull);
+    } else if (lane.inflight == 0 && LoopPass::Active()) {
+      // On an event loop, the idle lane flushes when the loop's pass ends,
+      // so the requests parsed later in the same pass join this one.
+      ++held_;
+      hold = true;
     } else if (lane.inflight == 0) {
       batch = TakeLocked(index, FlushReason::kIdle);
     }
     // Otherwise the rows ride the batch queued after the running one.
   }
+  if (hold) LoopPass::Defer([this, index] { FlushHeld(index); });
   if (ahead) Launch(std::move(*ahead));
   if (batch) Launch(std::move(*batch));
+}
+
+void BatchCoalescer::FlushHeld(size_t index) {
+  std::optional<Batch> batch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --held_;
+    Lane& lane = lanes_[index];
+    // Another loop's pass, or a chained flush, may have taken the rows.
+    if (lane.inflight == 0 && !lane.entries.empty()) {
+      batch = TakeLocked(index, FlushReason::kIdle);
+    } else if (IdleLocked()) {
+      idle_cv_.notify_all();  // under the lock, as in Complete()
+    }
+  }
+  if (!batch) return;
+  if (batch->entries.size() > 1 &&
+      batch->rows.size() <= kInlineBatchMaxItems) {
+    // Several requests met in one pass: the loop has more input than it
+    // should run inline, so a worker runs their small batch while the loop
+    // reads on. (A wider batch fans out to the pool by itself.)
+    SendToPool(std::move(*batch));
+    return;
+  }
+  Launch(std::move(*batch));
 }
 
 void BatchCoalescer::Flush() {
@@ -140,40 +174,19 @@ BatchCoalescer::Batch BatchCoalescer::TakeLocked(size_t index,
 }
 
 void BatchCoalescer::Launch(Batch batch) {
-  // The innermost Launch loop running on this thread. While it is inside
-  // SubmitBatch, a batch of this coalescer completing inline chains its
-  // successor here, and the loop submits it once SubmitBatch returns.
-  struct Trampoline {
-    const BatchCoalescer* owner;
-    std::deque<Batch>* queue;
-  };
-  static thread_local Trampoline* active = nullptr;
-  if (active != nullptr && active->owner == this) {
-    active->queue->push_back(std::move(batch));
-    return;
-  }
-  std::deque<Batch> queue;
-  queue.push_back(std::move(batch));
-  Trampoline self{this, &queue};
-  Trampoline* const outer = active;
-  active = &self;
-  // Every queued batch holds an in-flight slot, so `this` outlives the loop
-  // body; once the queue is empty the destructor may already have run.
-  while (!queue.empty()) {
-    Batch next = std::move(queue.front());
-    queue.pop_front();
-    SubmitOptions options;
-    options.priority = static_cast<TaskPriority>(next.lane);
-    options.tenant = std::move(next.tenant);
-    service_->SubmitBatch(
-        std::move(next.rows),
-        [this, lane = next.lane, entries = std::move(next.entries)](
-            std::vector<EstimateResult> results) mutable {
-          Complete(lane, &entries, std::move(results));
-        },
-        options);
-  }
-  active = outer;
+  SubmitOptions options;
+  options.priority = static_cast<TaskPriority>(batch.lane);
+  options.tenant = std::move(batch.tenant);
+  const BatchCoalescer* const outer = tl_submitting;
+  tl_submitting = this;
+  service_->SubmitBatch(
+      std::move(batch.rows),
+      [this, lane = batch.lane, entries = std::move(batch.entries)](
+          std::vector<EstimateResult> results) mutable {
+        Complete(lane, &entries, std::move(results));
+      },
+      options);
+  tl_submitting = outer;
 }
 
 void BatchCoalescer::Complete(size_t index, std::vector<Entry>* entries,
@@ -194,14 +207,40 @@ void BatchCoalescer::Complete(size_t index, std::vector<Entry>* entries,
     --lane.inflight;
     if (!lane.entries.empty()) {
       chained = TakeLocked(index, FlushReason::kChained);
-    } else if (lane.inflight == 0) {
+    } else if (IdleLocked()) {
       // Notify under the lock: the destructor destroys idle_cv_ as soon as
       // it observes every lane idle, so an unlocked notify could touch a
       // dead condition variable.
       idle_cv_.notify_all();
     }
   }
-  if (chained) Launch(std::move(*chained));
+  if (!chained) return;
+  if (tl_submitting == this) {
+    // This batch completed inside its own submit call, as small batches do.
+    // The rows queued behind it while it ran (by other event loops, or by
+    // its own callbacks) go to the pool: a submitting thread runs at most
+    // the one batch it sent, never a stream of other threads' work, and
+    // the stack never grows through back-to-back inline completions.
+    SendToPool(std::move(*chained));
+    return;
+  }
+  Launch(std::move(*chained));
+}
+
+void BatchCoalescer::SendToPool(Batch batch) {
+  // The batch holds its in-flight slot while queued, so `this` outlives the
+  // task.
+  const auto priority = static_cast<TaskPriority>(batch.lane);
+  auto send = [this, next = std::move(batch)]() mutable {
+    Launch(std::move(next));
+  };
+  service_->pool()->Submit(priority, std::move(send));
+}
+
+bool BatchCoalescer::IdleLocked() const {
+  return held_ == 0 &&
+         std::all_of(lanes_.begin(), lanes_.end(),
+                     [](const Lane& lane) { return lane.inflight == 0; });
 }
 
 }  // namespace resest

@@ -11,11 +11,20 @@
 //  - One lane per TaskPriority; a submission only ever merges with its own
 //    priority, and the merged batch is submitted at that priority. Each
 //    lane counts its merged batches in flight.
-//  - A submission to an idle lane (no batch in flight) is sent at once, on
-//    the calling thread. Rows that arrive while the lane's batch runs queue
-//    in the lane; when that batch finishes, its demux callback sends them
-//    as one batch on the thread that completed it. Batches grow with load
-//    and an unloaded request never waits.
+//  - A submission to an idle lane (no batch in flight) is sent on the
+//    calling thread (which also runs it when it is small, see
+//    kInlineBatchMaxItems) at once. A caller inside an event-loop pass
+//    (LoopPass, src/common/loop_pass.h) has its rows held until the pass
+//    ends, so the requests one pass parsed leave as one batch: a lone
+//    small request then runs on the loop thread, and a small batch that
+//    merged several requests is handed to the pool, so a loaded loop
+//    keeps reading. Rows that arrive while the lane's batch runs queue in
+//    the lane; when that batch finishes, its demux callback sends them as
+//    one batch on the thread that completed it — or, when the batch
+//    completed inline inside its own submit call, as a pool task, so a
+//    submitting thread never runs other callers' rows after its own.
+//    Batches grow with load and an unloaded request never waits for a
+//    later event.
 //  - A lane also flushes at once when it reaches max_rows (capped by the
 //    service's max_batch_size, so a merged batch can never be rejected as
 //    oversized when its parts were not), and at drain.
@@ -30,9 +39,11 @@
 //    forwarded solo with their exact SubmitOptions — deadline expiry stays
 //    per-submission, never shared with unrelated requests.
 //
-// Thread-safe; owns no thread. The service must outlive the coalescer. The
-// destructor flushes queued rows and blocks until every demux callback has
-// run, so callers' completion handlers never fire after teardown.
+// Thread-safe; owns no thread. The service and its pool must outlive the
+// coalescer. The destructor flushes queued rows and blocks until every
+// demux callback and every pending end-of-pass flush has run, so callers'
+// completion handlers never fire after teardown; it must not run inside a
+// pass that submitted to it (stop the HTTP server first).
 #ifndef RESEST_SERVING_BATCH_COALESCER_H_
 #define RESEST_SERVING_BATCH_COALESCER_H_
 
@@ -67,7 +78,7 @@ struct CoalescerStats {
   uint64_t batches = 0;       ///< Merged batches sent to the service.
   uint64_t coalesced_rows = 0;  ///< Rows carried by those batches.
   // Flush-trigger breakdown (sums to `batches`).
-  uint64_t flush_idle = 0;     ///< Sent on arrival to an idle lane.
+  uint64_t flush_idle = 0;     ///< Sent by an idle lane (arrival/pass end).
   uint64_t flush_chained = 0;  ///< Queued rows sent as a batch finished.
   uint64_t flush_full = 0;
   uint64_t flush_urgent = 0;
@@ -99,7 +110,9 @@ class BatchCoalescer {
 
   /// Submits one group of rows that must be answered together; `done`
   /// receives exactly rows.size() results in row order, exactly once,
-  /// possibly before this returns (degenerate batches complete inline).
+  /// possibly before this returns (small and degenerate batches complete
+  /// inline, see EstimationService::SubmitBatch). Inside a LoopPass, rows
+  /// for an idle lane are sent when the pass ends.
   /// Deadline-carrying options, empty groups, and groups at or above the
   /// effective max bypass the lanes and are forwarded solo.
   void Submit(std::vector<EstimateRequest> rows, const SubmitOptions& options,
@@ -141,14 +154,23 @@ class BatchCoalescer {
   /// Detaches the lane's queued rows, records the flush in stats_ and
   /// counts the batch in flight (caller holds mu_).
   Batch TakeLocked(size_t lane, FlushReason reason);
-  /// Submits `batch` to the service WITHOUT mu_ held. A batch completing
-  /// inline hands its chained successor back to this call's loop instead
-  /// of recursing, so back-to-back inline completions never grow the stack.
+  /// Submits `batch` to the service WITHOUT mu_ held.
   void Launch(Batch batch);
+  /// Queues a pool task that Launch()es `batch` (a small batch then runs on
+  /// that worker instead of the calling thread).
+  void SendToPool(Batch batch);
   /// Demux callback: delivers each entry's slice, then sends the rows that
-  /// queued meanwhile, or releases the lane's in-flight slot.
+  /// queued meanwhile (to the pool when this batch completed inside its own
+  /// Launch), or releases the lane's in-flight slot.
   void Complete(size_t lane, std::vector<Entry>* entries,
                 std::vector<EstimateResult> results);
+  /// End-of-pass flush registered by Submit: sends the lane's held rows if
+  /// the lane is still idle. A small batch that merged several submissions
+  /// goes through the pool; one submission's runs here.
+  void FlushHeld(size_t lane);
+  /// No batch in flight and no end-of-pass flush pending (caller holds
+  /// mu_); the destructor waits for this.
+  bool IdleLocked() const;
 
   const EstimationService* service_;
   /// options.max_rows clamped to the service's max_batch_size; coalescing
@@ -158,6 +180,7 @@ class BatchCoalescer {
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
   std::array<Lane, kNumTaskPriorities> lanes_;
+  size_t held_ = 0;  ///< End-of-pass flushes registered, not yet run.
   CoalescerStats stats_;
 };
 

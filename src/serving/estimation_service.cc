@@ -20,9 +20,10 @@ uint64_t ElapsedMicros(Clock::time_point start) {
 }
 
 /// Per-thread chunk scratch (see Arena's lifetime rules): every thread that
-/// executes chunks — pool workers, blocking submitters draining their own
-/// batch, Estimate() callers — gets one warmed arena, Reset() at the start
-/// of each chunk. After warm-up, chunk execution never touches the heap.
+/// executes chunks — pool workers, submitters running a small batch inline
+/// or draining their own blocking batch, Estimate() callers — gets one
+/// warmed arena, Reset() at the start of each chunk. After warm-up, chunk
+/// execution never touches the heap.
 Arena& ChunkArena() {
   thread_local Arena arena(256 * 1024);
   return arena;
@@ -99,6 +100,10 @@ struct EstimationService::BatchState {
   std::promise<std::vector<EstimateResult>> promise;
   bool has_promise = false;
   BatchCallback callback;
+
+  /// A small batch is one chunk that LaunchBatch runs to completion on the
+  /// submitting thread; it never enters the scheduler lanes.
+  bool runs_inline() const { return work_items <= kInlineBatchMaxItems; }
 };
 
 EstimationService::EstimationService(const ModelRegistry* registry,
@@ -514,8 +519,11 @@ std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
 
 size_t EstimationService::EffectiveChunkSize(size_t batch_size,
                                              TaskPriority priority) const {
+  // A small batch is one chunk, run inline by LaunchBatch.
+  if (batch_size <= kInlineBatchMaxItems) {
+    return std::max<size_t>(1, batch_size);
+  }
   if (options_.chunk_size != 0) return options_.chunk_size;
-  if (batch_size == 0) return 1;
   // ~3 chunks per worker: enough granularity for stealing and for urgent
   // batches to preempt at chunk boundaries, while keeping the per-chunk
   // claim/countdown overhead amortized over many requests.
@@ -529,7 +537,7 @@ size_t EstimationService::EffectiveChunkSize(size_t batch_size,
   // curve while still splitting a 2k-request batch 30+ ways.
   size_t cap = 64;
   if (priority == TaskPriority::kUrgent) {
-    cap = 8;
+    cap = kInlineBatchMaxItems;
   } else if (priority == TaskPriority::kBulk) {
     cap = 256;
   }
@@ -639,7 +647,7 @@ bool EstimationService::RunOneChunk(
   // acq_rel: the final decrement observes every other chunk's writes, so
   // the finisher publishes fully-written results.
   if (batch.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    UnscheduleBatch(&batch);
+    if (!batch.runs_inline()) UnscheduleBatch(&batch);
     FinishBatch(&batch);
   }
   return true;
@@ -763,6 +771,13 @@ void EstimationService::LaunchBatch(
     const std::shared_ptr<BatchState>& state) const {
   if (state->degenerate) {
     FinishBatch(state.get());
+    return;
+  }
+  if (state->runs_inline()) {
+    // A few rows cost less to estimate than a pool hand-off (queue, wake,
+    // context switch, and the completion's trip back to the caller), so
+    // run the single chunk here: no lane, no helper, no in-flight slot.
+    RunOneChunk(state);
     return;
   }
   {

@@ -9,6 +9,10 @@
 // cross-request estimate cache preserves this bit-for-bit — a hit returns
 // the exact double a miss would have computed (see estimate_cache.h).
 //
+// Small batches (at most kInlineBatchMaxItems work items) run to completion
+// on the calling thread, inside the submit call (see EstimationService); the
+// scheduling below applies to larger batches.
+//
 // Scheduling: every batch carries a TaskPriority and an optional deadline
 // (SubmitOptions). Chunks are fanned out on the pool lane matching the
 // batch's priority, and the service's own chunk scheduler serves runnable
@@ -124,6 +128,8 @@ struct ServiceOptions {
   /// the batched uncached path ~30% *slower* than serial; adaptive sizing
   /// plus chunk-level grouping turned it into the 3x+ win BENCH_serving.json
   /// tracks). A non-zero value pins every batch's chunk size verbatim.
+  /// Batches of at most kInlineBatchMaxItems work items are always one
+  /// chunk, run on the submitting thread, whatever this is set to.
   size_t chunk_size = 0;
   /// Cross-request (model_version, op, resource, features) estimate cache.
   bool enable_cache = true;
@@ -135,6 +141,12 @@ struct ServiceOptions {
   /// service. Null (the default) costs nothing.
   std::function<void(TaskPriority priority, bool expired)> chunk_claim_hook;
 };
+
+/// Work items (distinct requests, after a batch's identity dedup) at or
+/// below which a batch is one chunk run to completion on the submitting
+/// thread, before the submit call returns: a few rows cost less to estimate
+/// than a pool hand-off. Also the urgent lane's chunk cap.
+inline constexpr size_t kInlineBatchMaxItems = 8;
 
 /// Latency histogram: bucket `i` counts batches that completed in under
 /// 2^i microseconds (the last bucket also absorbs anything slower). Coarse
@@ -187,8 +199,10 @@ struct ServiceStats {
 };
 
 /// Invoked exactly once per submitted batch, with one result per request in
-/// request order. Runs on whichever thread completes the batch's last chunk
-/// (a pool worker, or the submitter for degenerate/rejected batches).
+/// request order. Runs on whichever thread completes the batch's last chunk:
+/// the submitter, before the submit call returns, for small batches (at most
+/// kInlineBatchMaxItems work items) and degenerate/rejected ones; otherwise
+/// a pool worker.
 /// Callbacks must not throw; an escaping exception is swallowed so batch
 /// completion and service shutdown can never be derailed by a callback.
 using BatchCallback = std::function<void(std::vector<EstimateResult>)>;
@@ -201,11 +215,20 @@ using EstimateCallback = std::function<void(EstimateResult)>;
 /// ready), so in-flight work never touches a dead service.
 ///
 /// Reentrancy: all entry points, including the blocking EstimateBatch, are
-/// safe to call from tasks running on the service's own pool. Batches are
+/// safe to call from tasks running on the service's own pool, and from a
+/// completion callback (a small batch completes inside the submit call, so
+/// a caller must not hold a lock its callback takes). Batches are
 /// completion-driven (an atomic chunk countdown, finished by whichever
 /// thread drains the last chunk), and a blocking caller helps execute its
 /// own chunks instead of parking on workers — so even a saturated or
 /// single-threaded pool cannot deadlock a nested call.
+///
+/// Small batches (at most kInlineBatchMaxItems work items, counted after
+/// identity dedup) bypass all of the below: whatever their priority, they
+/// run as one chunk on the submitting thread and complete (future ready,
+/// callback run) before the submit call returns — no pool hand-off. A caller
+/// that serves many clients on one thread (an HTTP I/O loop) therefore
+/// delays its next client by each small batch's own execution time.
 ///
 /// Priority: pool helper tasks are chunk drainers that serve the
 /// highest-priority runnable batch at or above the lane they were seeded
@@ -236,24 +259,32 @@ class EstimationService {
   /// passed returns kDeadlineExceeded for every request without executing.
   /// Default submit options reproduce the pre-lane behavior: kNormal
   /// priority, no deadline (same for the Submit* entry points below).
+  /// A batch of at most kInlineBatchMaxItems work items runs as one chunk
+  /// on the calling thread.
   std::vector<EstimateResult> EstimateBatch(
       const std::vector<EstimateRequest>& requests,
       const SubmitOptions& submit_options = {}) const;
 
-  /// Non-blocking batch submission: returns immediately with a future that
-  /// becomes ready when the last chunk completes. Same semantics as
-  /// EstimateBatch otherwise. The service copies `requests`; the pointed-to
-  /// plans and databases must outlive completion.
+  /// Asynchronous batch submission: returns a future that becomes ready when
+  /// the last chunk completes. A batch of at most kInlineBatchMaxItems work
+  /// items is estimated on the calling thread and its future is ready when
+  /// this returns; a larger one is fanned out to the pool and this returns
+  /// without waiting for it. Same semantics as EstimateBatch otherwise. The
+  /// service copies `requests`; the pointed-to plans and databases must
+  /// outlive completion.
   std::future<std::vector<EstimateResult>> SubmitBatch(
       std::vector<EstimateRequest> requests,
       const SubmitOptions& submit_options = {}) const;
 
-  /// Callback flavor: `done` is invoked exactly once, possibly before this
-  /// call returns (degenerate batches complete on the submitting thread).
+  /// Callback flavor: `done` is invoked exactly once. For a small batch (at
+  /// most kInlineBatchMaxItems work items) or a degenerate one it runs on
+  /// the submitting thread before this call returns.
   void SubmitBatch(std::vector<EstimateRequest> requests, BatchCallback done,
                    const SubmitOptions& submit_options = {}) const;
 
-  /// Non-blocking single-request submission (one pool hop).
+  /// Single-request submission: a one-item batch, so it is estimated on the
+  /// calling thread and completes (future ready, callback run) before this
+  /// returns.
   std::future<EstimateResult> SubmitEstimate(
       const EstimateRequest& request,
       const SubmitOptions& submit_options = {}) const;
@@ -288,6 +319,8 @@ class EstimationService {
   /// quickly, bulk batches large ones to maximize sweep width). Exposed so
   /// benches and dashboards can report the effective value next to
   /// throughput numbers.
+  /// At or below kInlineBatchMaxItems it is the whole batch: one chunk, run
+  /// on the submitting thread.
   size_t EffectiveChunkSize(size_t batch_size, TaskPriority priority) const;
 
   ServiceStats stats() const;
@@ -297,6 +330,9 @@ class EstimationService {
   /// with an empty `shards` vector when the cache is disabled.
   EstimateCacheStats cache_stats() const;
   const ServiceOptions& options() const { return options_; }
+  /// The pool that runs batches above kInlineBatchMaxItems; callers may
+  /// queue their own follow-up work on it.
+  ThreadPool* pool() const { return pool_; }
 
  private:
   struct BatchState;
@@ -330,8 +366,8 @@ class EstimationService {
                                         const SubmitOptions& submit_options)
       const;
   /// Registers a runnable batch with the chunk scheduler and seeds pool
-  /// helpers on its priority lane, or completes a degenerate batch inline.
-  /// Never blocks.
+  /// helpers on its priority lane, or completes a degenerate or small batch
+  /// on the calling thread. Never waits on another thread.
   void LaunchBatch(const std::shared_ptr<BatchState>& state) const;
   /// Claims and runs one chunk of `state` (expiring it instead when the
   /// batch deadline has passed); finishes the batch when it was the last.

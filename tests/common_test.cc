@@ -1,8 +1,10 @@
-// Unit tests for src/common: PRNG, Zipf sampling, statistics, least squares.
+// Unit tests for src/common: PRNG, Zipf sampling, statistics, least squares,
+// event-loop passes.
 #include <cmath>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/loop_pass.h"
 #include "src/common/matrix.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -209,6 +211,35 @@ TEST(MatrixTest, GramAndTransposeTimes) {
   const auto xty = x.TransposeTimes({1.0, 1.0});
   EXPECT_DOUBLE_EQ(xty[0], 4);
   EXPECT_DOUBLE_EQ(xty[1], 6);
+}
+
+TEST(LoopPassTest, DeferredWorkRunsInOrderWhenTheOutermostPassCloses) {
+  EXPECT_FALSE(LoopPass::Active());
+  std::vector<int> ran;
+  {
+    LoopPass pass;
+    EXPECT_TRUE(LoopPass::Active());
+    LoopPass::Defer([&] { ran.push_back(1); });
+    {
+      LoopPass nested;  // joins the outer pass
+      LoopPass::Defer([&] {
+        ran.push_back(2);
+        // Still inside the pass: work deferred now runs in the same close.
+        EXPECT_TRUE(LoopPass::Active());
+        LoopPass::Defer([&] { ran.push_back(4); });
+      });
+    }
+    EXPECT_TRUE(ran.empty()) << "a nested pass must not run the outer's work";
+    LoopPass::Defer([&] { ran.push_back(3); });
+  }
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(LoopPass::Active());
+
+  // Each pass starts empty.
+  {
+    LoopPass pass;
+  }
+  EXPECT_EQ(ran.size(), 4u);
 }
 
 }  // namespace

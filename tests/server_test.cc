@@ -668,9 +668,10 @@ struct RawConn {
   }
 
   /// Reads one full HTTP response (headers + Content-Length body); returns
-  /// the status code, or 0 on transport failure.
+  /// the status code, or 0 on transport failure. Bytes past that response
+  /// (pipelined responses can share one segment) stay in `buffer` for the
+  /// next call.
   int ReadResponse(std::string* body = nullptr) {
-    std::string buffer;
     size_t header_end;
     while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
       char chunk[4096];
@@ -695,8 +696,11 @@ struct RawConn {
     if (body != nullptr) {
       *body = buffer.substr(header_end + 4, content_length);
     }
+    buffer.erase(0, header_end + 4 + content_length);
     return status;
   }
+
+  std::string buffer;  ///< Received bytes not yet consumed.
 };
 
 HttpServerOptions FastPollOptions() {
@@ -1287,7 +1291,8 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindRunningBulkBatch) {
   // request queues behind it in the coalescer, and an urgent request posted
   // meanwhile must be answered while the bulk batch is still held. The
   // watchdog turns an urgent request stuck behind bulk work into a failure
-  // rather than a hang.
+  // rather than a hang. Every request is past the inline cap, so all three
+  // run on the pool.
   std::promise<void> bulk_claimed;
   std::promise<void> release_bulk;
   std::shared_future<void> release = release_bulk.get_future().share();
@@ -1301,15 +1306,17 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindRunningBulkBatch) {
   };
   EstimationService gated(registry_.get(), pool_.get(), gated_options);
 
-  const std::string bulk_body = WireBatchBody(OperatorRequests(7, 3), "bulk");
+  constexpr int kRows = static_cast<int>(kInlineBatchMaxItems) + 1;
+  const std::string bulk_body =
+      WireBatchBody(OperatorRequests(kRows, 3), "bulk");
   const std::string bulk_expected =
       frontend_->Handle(Post("/v1/estimate", bulk_body)).body;
   const std::string queued_body =
-      WireBatchBody(OperatorRequests(6, 9), "bulk");
+      WireBatchBody(OperatorRequests(kRows, 9), "bulk");
   const std::string queued_expected =
       frontend_->Handle(Post("/v1/estimate", queued_body)).body;
   const std::string urgent_body =
-      WireBatchBody(OperatorRequests(5, 21), "urgent");
+      WireBatchBody(OperatorRequests(kRows, 21), "urgent");
   const std::string urgent_expected =
       frontend_->Handle(Post("/v1/estimate", urgent_body)).body;
 
@@ -1377,6 +1384,86 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindRunningBulkBatch) {
   EXPECT_EQ(stats.flush_window, 0u);
   server.Stop();
   frontend_->set_coalescer(nullptr);
+}
+
+TEST_F(ServerFrontendTest, SmallRequestAnsweredWithEveryPoolWorkerParked) {
+  // A small request runs to completion on the I/O thread that parsed it
+  // (behind the coalescer, when the loop's pass ends), so it is answered
+  // even when no pool worker is free — with or without the coalescer in
+  // front of the service.
+  BatchCoalescer coalescer(service_.get());
+  HttpServer server(
+      [this](const HttpRequest& r, HttpResponseSender respond) {
+        frontend_->HandleAsync(r, std::move(respond));
+      },
+      FastPollOptions());
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+
+  // Park every worker. The watchdog turns a request stuck behind them into
+  // a failure rather than a hang.
+  std::promise<void> release_workers;
+  std::shared_future<void> release = release_workers.get_future().share();
+  std::atomic<bool> released{false};
+  const auto open_workers = [&]() {
+    if (!released.exchange(true)) release_workers.set_value();
+  };
+  std::atomic<size_t> parked{0};
+  for (size_t w = 0; w < pool_->num_threads(); ++w) {
+    pool_->Submit([&parked, release]() {
+      parked.fetch_add(1);
+      release.wait();
+    });
+  }
+  while (parked.load() < pool_->num_threads()) std::this_thread::yield();
+  std::promise<void> finished;
+  std::thread watchdog([&, done = finished.get_future()]() {
+    if (done.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      open_workers();
+    }
+  });
+
+  int salt = 40;
+  const auto post_small = [&]() {
+    const auto requests = OperatorRequests(4, salt += 8);
+    const std::string body = WireBatchBody(requests, "normal");
+    HttpClientResponse response;
+    ASSERT_TRUE(client.Post("/v1/estimate", body, &response, &error))
+        << error;
+    EXPECT_FALSE(released.load()) << "answered only once a worker was free";
+    ASSERT_EQ(response.status, 200) << response.body;
+    // Byte-identical to the synchronous solo path, and every value equal to
+    // the serial estimator's.
+    EXPECT_EQ(response.body,
+              frontend_->Handle(Post("/v1/estimate", body)).body);
+    const std::vector<double> values =
+        ResponseValues(response.body, EstimateStatus::kOk);
+    ASSERT_EQ(values.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const double serial = estimator_->EstimateFromFeatures(
+          requests[i].op, requests[i].features, requests[i].resource);
+      EXPECT_EQ(std::memcmp(&values[i], &serial, sizeof(double)), 0)
+          << "row " << i;
+    }
+  };
+  for (BatchCoalescer* route : {static_cast<BatchCoalescer*>(nullptr),
+                                &coalescer}) {
+    SCOPED_TRACE(route == nullptr ? "service" : "coalescer");
+    frontend_->set_coalescer(route);
+    post_small();
+  }
+  EXPECT_EQ(pool_->QueueDepth(), 0u);
+  EXPECT_EQ(coalescer.stats().flush_idle, 1u);
+
+  finished.set_value();
+  watchdog.join();
+  open_workers();
+  server.Stop();
+  frontend_->set_coalescer(nullptr);
+  pool_->Wait();
 }
 
 TEST_F(ServerFrontendTest, MalformedRequestIsolatedFromCoalescedWindow) {

@@ -7,14 +7,18 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/loop_pass.h"
 #include "src/common/thread_pool.h"
 #include "src/serving/batch_coalescer.h"
 #include "src/serving/estimation_service.h"
@@ -770,11 +774,12 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   registry.Publish("default", SharedEstimator());
   ThreadPool pool(1);
 
-  // Two requests, one-request chunks, one worker: exactly one helper claims
-  // chunk 0 then chunk 1 in order. The hook parks the helper between the
-  // deadline check and the execution of chunk 0, the test lets the deadline
-  // pass, and chunk 1's claim must then expire while chunk 0 — already
-  // started — still completes with its normal value.
+  // One request past the inline cap (so the batch goes to the pool), one-
+  // request chunks, one worker: exactly one helper claims chunks 0..8 in
+  // order. The hook parks the helper between the deadline check and the
+  // execution of chunk 0, the test lets the deadline pass, and every later
+  // claim must then expire while chunk 0 — already started — still
+  // completes with its normal value.
   std::promise<void> first_chunk_claimed;
   std::promise<void> resume_first_chunk;
   std::shared_future<void> resume = resume_first_chunk.get_future().share();
@@ -795,8 +800,10 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   };
   EstimationService service(&registry, &pool, options);
 
+  constexpr size_t kRequests = kInlineBatchMaxItems + 1;
   const auto all = QueueRequests(Resource::kCpu);
-  const std::vector<EstimateRequest> requests(all.begin(), all.begin() + 2);
+  const std::vector<EstimateRequest> requests(all.begin(),
+                                              all.begin() + kRequests);
   SubmitOptions opts;
   opts.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
   auto future = service.SubmitBatch(requests, opts);
@@ -806,21 +813,26 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   resume_first_chunk.set_value();
 
   const auto results = future.get();
-  ASSERT_EQ(results.size(), 2u);
+  ASSERT_EQ(results.size(), kRequests);
   ASSERT_TRUE(results[0].ok()) << EstimateStatusName(results[0].status);
   EXPECT_EQ(results[0].value,
             estimator_->EstimateQuery(*requests[0].plan, *requests[0].database,
                                       Resource::kCpu));
-  EXPECT_EQ(results[1].status, EstimateStatus::kDeadlineExceeded);
+  for (size_t i = 1; i < kRequests; ++i) {
+    EXPECT_EQ(results[i].status, EstimateStatus::kDeadlineExceeded)
+        << "request " << i;
+  }
   {
     std::lock_guard<std::mutex> lock(mu);
-    ASSERT_EQ(expired_flags.size(), 2u);
+    ASSERT_EQ(expired_flags.size(), kRequests);
     EXPECT_FALSE(expired_flags[0]);
-    EXPECT_TRUE(expired_flags[1]);
+    for (size_t i = 1; i < kRequests; ++i) {
+      EXPECT_TRUE(expired_flags[i]) << "chunk " << i;
+    }
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.deadline_expired, 1u);
+  EXPECT_EQ(stats.deadline_expired, kRequests - 1);
   EXPECT_EQ(stats.errors, 0u);
 }
 
@@ -1247,8 +1259,9 @@ TEST_F(ServingTest, PipelineEstimatesMatchDirectCall) {
 // pool whose only worker is parked on a gate task.
 // ---------------------------------------------------------------------------
 
-/// Parks a one-worker pool until Open(): batches submitted meanwhile stay
-/// in flight.
+/// Parks a one-worker pool until Open() (or destruction, so a failed
+/// assertion cannot leave the worker parked): batches submitted meanwhile
+/// stay in flight.
 class PoolGate {
  public:
   explicit PoolGate(ThreadPool* pool) {
@@ -1260,21 +1273,30 @@ class PoolGate {
     });
     entered.get_future().wait();
   }
-  void Open() { open_.set_value(); }
+  ~PoolGate() {
+    if (!opened_) Open();
+  }
+  void Open() {
+    opened_ = true;
+    open_.set_value();
+  }
 
  private:
   std::promise<void> open_;
+  bool opened_ = false;
 };
 
 /// Collects one submission's results; counts how often its callback ran.
 struct Delivery {
   std::vector<EstimateResult> results;
+  std::thread::id thread;
   std::atomic<int> calls{0};
   std::promise<void> done;
 
   BatchCallback Callback() {
     return [this](std::vector<EstimateResult> r) {
       results = std::move(r);
+      thread = std::this_thread::get_id();
       if (calls.fetch_add(1) == 0) done.set_value();
     };
   }
@@ -1286,13 +1308,16 @@ TEST_F(ServingTest, CoalescerSendsRowsQueuedBehindRunningBatchAsOneBatch) {
   ThreadPool pool(1);
   EstimationService service(&registry, &pool);
   const auto all = QueueRequests(Resource::kCpu);
-  ASSERT_GE(all.size(), 12u);
+  ASSERT_GE(all.size(), 18u);
   BatchCoalescer coalescer(&service);
   PoolGate gate(&pool);
+  // A is past the inline cap, so it goes to the pool; B and C together are
+  // too.
   const std::vector<std::vector<EstimateRequest>> groups = {
-      {all.begin(), all.begin() + 3},
-      {all.begin() + 3, all.begin() + 7},
-      {all.begin() + 7, all.begin() + 12}};
+      {all.begin(), all.begin() + 9},
+      {all.begin() + 9, all.begin() + 13},
+      {all.begin() + 13, all.begin() + 18}};
+  ASSERT_GT(groups[0].size(), kInlineBatchMaxItems);
   Delivery deliveries[3];
   // A reaches an idle lane and is sent at once; it stays in flight behind
   // the gate, so B and C queue.
@@ -1311,7 +1336,7 @@ TEST_F(ServingTest, CoalescerSendsRowsQueuedBehindRunningBatchAsOneBatch) {
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.flush_idle, 1u);
   EXPECT_EQ(stats.flush_chained, 1u);
-  EXPECT_EQ(stats.coalesced_rows, 12u);
+  EXPECT_EQ(stats.coalesced_rows, 18u);
   EXPECT_EQ(stats.flush_window, 0u);
   EXPECT_EQ(service.stats().batches, 2u);
 
@@ -1363,12 +1388,16 @@ TEST_F(ServingTest, CoalescerDestroyedWithQueuedRowsFiresEveryCallbackOnce) {
   auto coalescer = std::make_unique<BatchCoalescer>(&service);
   PoolGate gate(&pool);
 
+  // Groups past the inline cap, so A stays in flight behind the gate.
+  constexpr size_t kRows = kInlineBatchMaxItems + 1;
   const auto all = QueueRequests(Resource::kCpu);
+  ASSERT_GE(all.size(), 3 * kRows);
   Delivery deliveries[3];
   for (size_t g = 0; g < 3; ++g) {
-    coalescer->Submit(std::vector<EstimateRequest>(all.begin() + g * 2,
-                                                   all.begin() + g * 2 + 2),
-                      {}, deliveries[g].Callback());
+    coalescer->Submit(
+        std::vector<EstimateRequest>(all.begin() + g * kRows,
+                                     all.begin() + (g + 1) * kRows),
+        {}, deliveries[g].Callback());
   }
   EXPECT_EQ(coalescer->stats().batches, 1u);  // B and C are queued
   // The destructor drains the queued rows and blocks until every callback
@@ -1380,7 +1409,7 @@ TEST_F(ServingTest, CoalescerDestroyedWithQueuedRowsFiresEveryCallbackOnce) {
   coalescer.reset();
   for (const Delivery& d : deliveries) {
     EXPECT_EQ(d.calls.load(), 1);
-    ASSERT_EQ(d.results.size(), 2u);
+    ASSERT_EQ(d.results.size(), kRows);
     for (const auto& r : d.results) EXPECT_TRUE(r.ok());
   }
   opener.join();
@@ -1391,8 +1420,10 @@ TEST_F(ServingTest, CoalescerDestroyedWithQueuedRowsFiresEveryCallbackOnce) {
 TEST_F(ServingTest, CoalescerChainsInlineCompletionsWithoutStackGrowth) {
   // With no model published every batch completes inline, inside
   // SubmitBatch. Each callback submits the next request, which queues behind
-  // the still-running batch and is chained by its completion: 10k hand-offs
-  // that must run as a loop on this thread, not as nested calls.
+  // the still-running batch and is chained by its completion: 10k hand-offs.
+  // A chained batch taken by an inline completion goes to the pool, so the
+  // submitting thread runs only its own first batch and no thread's stack
+  // grows across the hand-offs.
   ModelRegistry registry;
   ThreadPool pool(1);
   EstimationService service(&registry, &pool);
@@ -1400,32 +1431,280 @@ TEST_F(ServingTest, CoalescerChainsInlineCompletionsWithoutStackGrowth) {
   const EstimateRequest request = QueueRequests(Resource::kCpu)[0];
 
   constexpr int kSubmissions = 10000;
+  const std::thread::id submitter = std::this_thread::get_id();
   int completed = 0;
   int not_found = 0;
+  int on_submitter = 0;
   uintptr_t lowest = UINTPTR_MAX;
   uintptr_t highest = 0;
+  std::promise<void> all_done;
   std::function<void()> submit_next;
   submit_next = [&]() {
     coalescer.Submit({request}, {}, [&](std::vector<EstimateResult> results) {
-      const char marker = 0;
-      const auto here = reinterpret_cast<uintptr_t>(&marker);
-      lowest = std::min(lowest, here);
-      highest = std::max(highest, here);
+      if (std::this_thread::get_id() == submitter) {
+        ++on_submitter;
+      } else {
+        const char marker = 0;
+        const auto here = reinterpret_cast<uintptr_t>(&marker);
+        lowest = std::min(lowest, here);
+        highest = std::max(highest, here);
+      }
       if (results.size() == 1 &&
           results[0].status == EstimateStatus::kModelNotFound) {
         ++not_found;
       }
-      if (++completed < kSubmissions) submit_next();
+      if (++completed < kSubmissions) {
+        submit_next();
+      } else {
+        all_done.set_value();
+      }
     });
   };
   submit_next();
+  ASSERT_EQ(all_done.get_future().wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  pool.Wait();
   EXPECT_EQ(completed, kSubmissions);
   EXPECT_EQ(not_found, kSubmissions);
+  EXPECT_EQ(on_submitter, 1) << "only the idle-lane flush runs on the caller";
   EXPECT_LT(highest - lowest, 64u * 1024u) << "stack grew across hand-offs";
   const CoalescerStats stats = coalescer.stats();
   EXPECT_EQ(stats.batches, static_cast<uint64_t>(kSubmissions));
   EXPECT_EQ(stats.flush_idle, 1u);
   EXPECT_EQ(stats.flush_chained, static_cast<uint64_t>(kSubmissions - 1));
+}
+
+TEST_F(ServingTest, CoalescerHoldsAnIdleLaneToTheEndOfTheLoopPass) {
+  // Inside an event-loop pass, rows for an idle lane wait for the pass end,
+  // so the requests one pass parsed leave as one batch. A lone small
+  // request then runs on the loop thread; a small batch that merged several
+  // requests goes to the pool, so a loaded loop keeps reading.
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+  EstimationService service(&registry, &pool);
+  BatchCoalescer coalescer(&service);
+  const auto all = QueueRequests(Resource::kCpu);
+  ASSERT_GE(all.size(), 12u);
+  const auto group = [&](size_t begin) {
+    return std::vector<EstimateRequest>(all.begin() + begin,
+                                        all.begin() + begin + 4);
+  };
+  const auto expect_solo = [&](const Delivery& d, size_t begin) {
+    const auto solo = service.EstimateBatch(group(begin));
+    ASSERT_EQ(d.results.size(), solo.size());
+    for (size_t i = 0; i < solo.size(); ++i) {
+      const double got = d.results[i].value;
+      const double want = solo[i].value;
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "row " << begin + i;
+    }
+  };
+  PoolGate gate(&pool);  // the only worker parked
+
+  // One 4-row request: held through the pass, run here when it closes.
+  Delivery lone;
+  {
+    LoopPass pass;
+    coalescer.Submit(group(0), {}, lone.Callback());
+    EXPECT_EQ(coalescer.stats().batches, 0u);
+    EXPECT_EQ(lone.calls.load(), 0);
+  }
+  CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.coalesced_rows, 4u);
+  EXPECT_EQ(lone.calls.load(), 1);
+  EXPECT_EQ(lone.thread, std::this_thread::get_id());
+  expect_solo(lone, 0);
+
+  // Two 4-row requests in one pass: one 8-row batch, queued on the pool.
+  Delivery merged[2];
+  {
+    LoopPass pass;
+    for (size_t g = 0; g < 2; ++g) {
+      coalescer.Submit(group(4 + 4 * g), {}, merged[g].Callback());
+    }
+  }
+  stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.flush_idle, 2u);
+  EXPECT_EQ(stats.coalesced_rows, 12u);
+  EXPECT_EQ(pool.QueueDepth(), 1u);
+  for (const Delivery& d : merged) EXPECT_EQ(d.calls.load(), 0);
+  gate.Open();
+  for (size_t g = 0; g < 2; ++g) {
+    merged[g].done.get_future().wait();
+    EXPECT_NE(merged[g].thread, std::this_thread::get_id());
+    expect_solo(merged[g], 4 + 4 * g);
+  }
+  pool.Wait();
+  for (const Delivery& d : merged) EXPECT_EQ(d.calls.load(), 1);
+}
+
+TEST_F(ServingTest, CoalescerSendsRowsQueuedBehindAnInlineBatchToThePool) {
+  // A small batch completes inside its submitter's call. Rows another caller
+  // queued behind it meanwhile are chained to the pool, never run on the
+  // submitting thread (on a server, that thread is an I/O loop).
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+  EstimationService service(&registry, &pool);
+  BatchCoalescer coalescer(&service);
+  const auto all = QueueRequests(Resource::kIo);
+  ASSERT_GE(all.size(), 8u);
+  const std::vector<EstimateRequest> first_rows(all.begin(), all.begin() + 4);
+  const std::vector<EstimateRequest> queued_rows(all.begin() + 4,
+                                                 all.begin() + 8);
+  PoolGate gate(&pool);
+
+  Delivery first;
+  Delivery queued;
+  BatchCallback record_first = first.Callback();
+  coalescer.Submit(first_rows, {}, [&](std::vector<EstimateResult> results) {
+    // The batch is still in flight: these rows queue behind it.
+    coalescer.Submit(queued_rows, {}, queued.Callback());
+    record_first(std::move(results));
+  });
+  EXPECT_EQ(first.calls.load(), 1);
+  EXPECT_EQ(first.thread, std::this_thread::get_id());
+  EXPECT_EQ(queued.calls.load(), 0) << "chained batch ran on the submitter";
+  EXPECT_EQ(pool.QueueDepth(), 1u);
+  CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_chained, 1u);
+
+  gate.Open();
+  queued.done.get_future().wait();
+  EXPECT_NE(queued.thread, std::this_thread::get_id());
+  const auto solo = service.EstimateBatch(queued_rows);
+  ASSERT_EQ(queued.results.size(), solo.size());
+  for (size_t i = 0; i < solo.size(); ++i) {
+    EXPECT_EQ(queued.results[i].value, solo[i].value) << "row " << i;
+  }
+  pool.Wait();
+  EXPECT_EQ(queued.calls.load(), 1);
+  stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.coalesced_rows, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Small batches: run to completion on the submitting thread.
+// ---------------------------------------------------------------------------
+
+/// `count` distinct operator-payload requests (operator types cycled from
+/// `salt`, CPU and IO alternating).
+std::vector<EstimateRequest> OperatorRequests(size_t count, int salt) {
+  std::vector<EstimateRequest> requests;
+  for (size_t i = 0; i < count; ++i) {
+    const int k = static_cast<int>(i) + salt;
+    FeatureVector features{};
+    for (size_t f = 0; f < features.size(); ++f) {
+      features[f] = 1.0 + k * 3.7 + static_cast<double>(f) * 0.91;
+    }
+    requests.push_back(EstimateRequest::ForOperator(
+        static_cast<OpType>(k % kNumOpTypes), features,
+        i % 2 == 0 ? Resource::kCpu : Resource::kIo));
+  }
+  return requests;
+}
+
+TEST_F(ServingTest, SmallBatchesCompleteOnTheSubmittingThread) {
+  // Declared before the service: a batch left pending by a failed
+  // assertion still delivers into live objects while the service drains.
+  std::deque<Delivery> deliveries;
+  std::mutex mu;
+  std::vector<std::thread::id> claim_threads;
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+  ServiceOptions options;
+  options.chunk_claim_hook = [&](TaskPriority, bool) {
+    std::lock_guard<std::mutex> lock(mu);
+    claim_threads.push_back(std::this_thread::get_id());
+  };
+  EstimationService service(&registry, &pool, options);
+  // The only worker is parked: anything handed to the pool stays pending.
+  PoolGate gate(&pool);
+  const size_t depth = pool.QueueDepth();
+  const std::thread::id self = std::this_thread::get_id();
+
+  const auto expect_serial = [](const std::vector<EstimateRequest>& requests,
+                                const std::vector<EstimateResult>& results) {
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << "row " << i;
+      const double serial = estimator_->EstimateFromFeatures(
+          requests[i].op, requests[i].features, requests[i].resource);
+      EXPECT_EQ(std::memcmp(&results[i].value, &serial, sizeof(double)), 0)
+          << "row " << i;
+    }
+  };
+  // Delivered before the submit call returned, on this thread.
+  const auto expect_delivered_here = [&](const Delivery& d) {
+    ASSERT_EQ(d.calls.load(), 1) << "not delivered before the call returned";
+    EXPECT_EQ(d.thread, self);
+  };
+
+  int salt = 0;
+  size_t batches = 0;
+  for (const size_t rows : {size_t{1}, size_t{4}, kInlineBatchMaxItems}) {
+    SCOPED_TRACE(rows);
+    const auto by_callback = OperatorRequests(rows, salt += 16);
+    Delivery& d = deliveries.emplace_back();
+    service.SubmitBatch(by_callback, d.Callback());
+    expect_delivered_here(d);
+    expect_serial(by_callback, d.results);
+
+    const auto by_future = OperatorRequests(rows, salt += 16);
+    auto future = service.SubmitBatch(by_future);
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    expect_serial(by_future, future.get());
+    EXPECT_EQ(pool.QueueDepth(), depth);
+    batches += 2;
+  }
+
+  // The cap counts work items after identity dedup: eight distinct rows
+  // sent twice each are still one inline chunk.
+  auto twice = OperatorRequests(kInlineBatchMaxItems, salt += 16);
+  twice.insert(twice.end(), twice.begin(), twice.end());
+  Delivery& deduped = deliveries.emplace_back();
+  service.SubmitBatch(twice, deduped.Callback());
+  expect_delivered_here(deduped);
+  expect_serial(twice, deduped.results);
+  ++batches;
+
+  // The single-request flavours are one-item batches.
+  const EstimateRequest single = OperatorRequests(1, salt += 16)[0];
+  auto single_future = service.SubmitEstimate(single);
+  ASSERT_EQ(single_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  expect_serial({single}, {single_future.get()});
+  Delivery& single_delivery = deliveries.emplace_back();
+  service.SubmitEstimate(single, [&single_delivery](EstimateResult r) {
+    single_delivery.Callback()({r});
+  });
+  expect_delivered_here(single_delivery);
+  expect_serial({single}, single_delivery.results);
+  batches += 2;
+  EXPECT_EQ(pool.QueueDepth(), depth);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(claim_threads.size(), batches);  // one chunk per batch
+    for (const std::thread::id id : claim_threads) EXPECT_EQ(id, self);
+  }
+
+  // One item past the cap goes to the pool and waits for the gate.
+  const auto large = OperatorRequests(kInlineBatchMaxItems + 1, salt += 16);
+  auto pending = service.SubmitBatch(large);
+  EXPECT_EQ(pending.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  EXPECT_GT(pool.QueueDepth(), depth);
+  gate.Open();
+  expect_serial(large, pending.get());
+  EXPECT_EQ(service.stats().batches, batches + 1);
 }
 
 }  // namespace
