@@ -1,7 +1,8 @@
 // Serving throughput: single-thread serial estimation loop vs. the batched
 // EstimationService fanning the same requests across a worker pool — with
 // and without the cross-request operator-estimate cache — plus a
-// latency-under-load scenario: the p99 of small urgent probes while bulk
+// latency-under-load scenario: the p99 of urgent probe batches (16 distinct
+// plans, past the inline cap, so the pool's lanes schedule them) while bulk
 // scan batches saturate the pool, with FIFO scheduling (probes share the
 // bulk lane) vs. priority lanes (probes ride TaskPriority::kUrgent).
 //
@@ -118,16 +119,30 @@ double Percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-/// Urgent-probe latency while bulk scans keep the pool saturated. Probes
-/// are submitted at `probe_priority`: kBulk puts them on the same lane as
-/// the scans — FIFO, each probe waits for every scan request ahead of it —
-/// while kUrgent lets the chunk scheduler serve them next.
+/// Rows per latency probe: distinct plans, past kInlineBatchMaxItems, so a
+/// probe is a pool-bound batch that the pool's lanes schedule.
+constexpr size_t kProbeBatchRows = 16;
+
+/// Urgent-probe latency while bulk scans keep the pool saturated. Each
+/// probe is one batch of kProbeBatchRows consecutive plans of
+/// `probe_requests` (which must hold at least that many distinct plans),
+/// submitted at `probe_priority`: kBulk puts it on the same pool lane as
+/// the scans — FIFO, it waits for every scan batch queued ahead of it —
+/// while kUrgent lets the pool step it before the scans' next chunks.
 LatencySummary MeasureProbeLatencyUnderBulk(
     const ModelRegistry& registry, ThreadPool& pool,
     const std::vector<EstimateRequest>& bulk_requests,
     const std::vector<EstimateRequest>& probe_requests,
     const std::vector<double>& probe_serial, TaskPriority probe_priority,
     int num_probes) {
+  const auto probe_batch = [&](int i) {
+    std::vector<EstimateRequest> batch;
+    for (size_t k = 0; k < kProbeBatchRows; ++k) {
+      batch.push_back(
+          probe_requests[(static_cast<size_t>(i) + k) % probe_requests.size()]);
+    }
+    return batch;
+  };
   ServiceOptions options;
   // Uncached: a warm cache would turn the bulk scans into no-ops and
   // nothing would contend with the probes.
@@ -137,7 +152,7 @@ LatencySummary MeasureProbeLatencyUnderBulk(
 
   // Bulk load: a few blocking callers resubmitting the full scan until the
   // probes are done (blocking callers drain their own batches, so this also
-  // keeps pool helpers busy without unbounded queue growth).
+  // keeps the pool's workers busy without unbounded queue growth).
   std::atomic<bool> stop{false};
   SubmitOptions bulk;
   bulk.priority = TaskPriority::kBulk;
@@ -159,20 +174,24 @@ LatencySummary MeasureProbeLatencyUnderBulk(
   // the measured p99 flap between runs.
   constexpr int kWarmupProbes = 16;
   for (int i = 0; i < kWarmupProbes; ++i) {
-    const size_t slot = static_cast<size_t>(i) % probe_requests.size();
-    (void)service.SubmitEstimate(probe_requests[slot], probe_options).get();
+    (void)service.SubmitBatch(probe_batch(i), probe_options).get();
   }
   LatencySummary summary;
   std::vector<double> latencies_ms;
   latencies_ms.reserve(static_cast<size_t>(num_probes));
   for (int i = 0; i < num_probes; ++i) {
-    const size_t slot = static_cast<size_t>(i) % probe_requests.size();
+    std::vector<EstimateRequest> batch = probe_batch(i);
     const auto start = std::chrono::steady_clock::now();
-    const EstimateResult result =
-        service.SubmitEstimate(probe_requests[slot], probe_options).get();
+    const std::vector<EstimateResult> results =
+        service.SubmitBatch(std::move(batch), probe_options).get();
     latencies_ms.push_back(1000.0 * SecondsSince(start));
-    if (!result.ok() || result.value != probe_serial[slot]) {
-      ++summary.mismatches;
+    for (size_t k = 0; k < kProbeBatchRows; ++k) {
+      const size_t slot =
+          (static_cast<size_t>(i) + k) % probe_requests.size();
+      if (k >= results.size() || !results[k].ok() ||
+          results[k].value != probe_serial[slot]) {
+        ++summary.mismatches;
+      }
     }
   }
   stop.store(true);
@@ -789,24 +808,30 @@ int main() {
 
   // --- Latency under load: urgent probes vs. background bulk scans. ---
   // One probe per distinct plan, always kCpu, with precomputed serial
-  // values for the bit-identity check.
+  // values for the bit-identity check. The latency scenario's probe batches
+  // draw on at least kProbeBatchRows plans, so each batch is all distinct.
   std::vector<EstimateRequest> probe_requests;
   std::vector<double> probe_serial;
-  for (size_t i = 0; i < distinct; ++i) {
+  const size_t probe_plans =
+      std::min(train.size(), std::max(distinct, kProbeBatchRows));
+  for (size_t i = 0; i < probe_plans; ++i) {
     const auto& eq = train[i];
     probe_requests.push_back({&eq.plan, eq.database, Resource::kCpu});
     probe_serial.push_back(
         estimator->EstimateQuery(eq.plan, *eq.database, Resource::kCpu));
   }
-  std::printf("\n-- latency under load: %d urgent probes over continuous "
-              "%zu-request bulk scans --\n",
-              num_probes, requests.size());
+  std::printf("\n-- latency under load: %d urgent probe batches (%zu plans "
+              "each) over continuous %zu-request bulk scans --\n",
+              num_probes, kProbeBatchRows, requests.size());
   const LatencySummary fifo = MeasureProbeLatencyUnderBulk(
       registry, pool, requests, probe_requests, probe_serial,
       TaskPriority::kBulk, num_probes);
   const LatencySummary prioritized = MeasureProbeLatencyUnderBulk(
       registry, pool, requests, probe_requests, probe_serial,
       TaskPriority::kUrgent, num_probes);
+  // The refit scenario probes one plan at a time, over the distinct plans.
+  probe_requests.resize(distinct);
+  probe_serial.resize(distinct);
   std::printf("%-28s %10s %10s %10s\n", "probe scheduling", "p50 (ms)",
               "p99 (ms)", "max (ms)");
   std::printf("%-28s %10.3f %10.3f %10.3f\n", "FIFO (bulk lane)", fifo.p50_ms,
@@ -969,7 +994,8 @@ int main() {
                             refit.mismatches + loopback.mismatches +
                             tenant_iso.mismatches;
   const size_t checks = 2 * requests.size() +
-                        2 * static_cast<size_t>(num_probes) +
+                        2 * static_cast<size_t>(num_probes) *
+                            kProbeBatchRows +
                         refit.probes_served + loopback.checked_responses +
                         tenant_iso.probes;
   std::printf("\nbit-identical to serial: %s (%zu/%zu mismatches)\n",

@@ -69,15 +69,22 @@ bool ThreadPool::AllLanesEmptyLocked() const {
   return true;
 }
 
-void ThreadPool::Enqueue(TaskPriority priority, std::function<void()> task) {
+void ThreadPool::Enqueue(TaskPriority priority, Entry entry) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
       throw std::runtime_error("ThreadPool: Submit after shutdown");
     }
-    lanes_[static_cast<size_t>(priority)].push_back(std::move(task));
+    lanes_[static_cast<size_t>(priority)].push_back(std::move(entry));
   }
   work_available_.notify_one();
+}
+
+void ThreadPool::SubmitSteps(TaskPriority priority,
+                             std::function<bool()> step) {
+  Entry entry;
+  entry.step = std::make_shared<const std::function<bool()>>(std::move(step));
+  Enqueue(priority, std::move(entry));
 }
 
 void ThreadPool::Wait() {
@@ -99,31 +106,50 @@ size_t ThreadPool::QueueDepth(TaskPriority priority) const {
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(
-          lock, [this]() { return shutdown_ || !AllLanesEmptyLocked(); });
-      // Drain every lane before exiting so ~ThreadPool never drops work.
-      std::deque<std::function<void()>>* lane = nullptr;
-      for (auto& candidate : lanes_) {
-        if (!candidate.empty()) {
-          lane = &candidate;
-          break;
-        }
+    work_available_.wait(
+        lock, [this]() { return shutdown_ || !AllLanesEmptyLocked(); });
+    // Drain every lane before exiting so ~ThreadPool never drops work.
+    std::deque<Entry>* lane = nullptr;
+    for (auto& candidate : lanes_) {
+      if (!candidate.empty()) {
+        lane = &candidate;
+        break;
       }
-      if (lane == nullptr) return;
-      task = std::move(lane->front());
+    }
+    if (lane == nullptr) return;
+    Entry entry;
+    if (lane->front().step != nullptr) {
+      // A steppable entry stays at the front for the next pick.
+      entry.step = lane->front().step;
+    } else {
+      entry = std::move(lane->front());
       lane->pop_front();
-      ++active_;
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (AllLanesEmptyLocked() && active_ == 0) all_idle_.notify_all();
+    ++active_;
+    lock.unlock();
+    if (entry.step == nullptr) {
+      entry.task();
+    } else {
+      // A sleeping worker may join the entry at once.
+      work_available_.notify_one();
+      if (!(*entry.step)()) {
+        // Workers that picked the entry before this pop may still return
+        // false from their own step; only the first finds it at the front.
+        lock.lock();
+        if (!lane->empty() && lane->front().step == entry.step) {
+          lane->pop_front();
+        }
+        lock.unlock();
+      }
     }
+    // Released outside the lock: a task's or step's captures may run
+    // arbitrary code when they are destroyed.
+    entry = Entry{};
+    lock.lock();
+    --active_;
+    if (AllLanesEmptyLocked() && active_ == 0) all_idle_.notify_all();
   }
 }
 

@@ -40,6 +40,18 @@ size_t LatencyBucket(uint64_t latency_us) {
   return bucket;
 }
 
+/// A BatchCallback that fulfils `*future`: the future-returning entry
+/// points are the callback flavor with a promise inside.
+BatchCallback PromiseCallback(
+    std::future<std::vector<EstimateResult>>* future) {
+  auto promise =
+      std::make_shared<std::promise<std::vector<EstimateResult>>>();
+  *future = promise->get_future();
+  return [promise](std::vector<EstimateResult> results) {
+    promise->set_value(std::move(results));
+  };
+}
+
 }  // namespace
 
 double PriorityLaneStats::ApproxLatencyPercentileMs(double p) const {
@@ -60,8 +72,8 @@ double PriorityLaneStats::ApproxLatencyPercentileMs(double p) const {
          1000.0;
 }
 
-/// Shared state of one submitted batch. Owned jointly (shared_ptr) by the
-/// scheduler lanes, the pool helper tasks and, for blocking calls, the
+/// Shared state of one submitted batch. Owned jointly (shared_ptr) by its
+/// pool entry, the workers stepping it and, for blocking calls, the
 /// submitting frame; the last chunk's owner completes it. Requests are
 /// copied in so the state is self-contained after the submitting call
 /// returns.
@@ -97,13 +109,7 @@ struct EstimationService::BatchState {
   std::atomic<size_t> next_chunk{0};   ///< Work-stealing chunk cursor.
   std::atomic<size_t> chunks_left{0};  ///< Countdown to completion.
 
-  std::promise<std::vector<EstimateResult>> promise;
-  bool has_promise = false;
   BatchCallback callback;
-
-  /// A small batch is one chunk that LaunchBatch runs to completion on the
-  /// submitting thread; it never enters the scheduler lanes.
-  bool runs_inline() const { return work_items <= kInlineBatchMaxItems; }
 };
 
 EstimationService::EstimationService(const ModelRegistry* registry,
@@ -118,9 +124,10 @@ EstimationService::EstimationService(const ModelRegistry* registry,
 }
 
 EstimationService::~EstimationService() {
-  // Every helper task holds `this`; wait for all of them so no in-flight
-  // batch outlives the service (futures are ready and callbacks delivered
-  // strictly before a task releases its in-flight slot).
+  // Every pool entry holds an in-flight slot until the pool destroys it;
+  // wait for all of them so no in-flight batch outlives the service
+  // (futures are ready and callbacks delivered strictly before an entry
+  // releases its slot).
   std::unique_lock<std::mutex> lock(inflight_mu_);
   inflight_idle_.wait(lock, [this]() { return inflight_ == 0; });
 }
@@ -396,10 +403,11 @@ EstimateResult EstimationService::Estimate(
 }
 
 std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
-    std::vector<EstimateRequest> requests,
+    std::vector<EstimateRequest> requests, BatchCallback done,
     const SubmitOptions& submit_options) const {
   auto state = std::make_shared<BatchState>();
   state->requests = std::move(requests);
+  state->callback = std::move(done);
   state->priority = submit_options.priority;
   state->has_deadline = submit_options.has_deadline();
   state->deadline = submit_options.deadline;
@@ -519,14 +527,14 @@ std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
 
 size_t EstimationService::EffectiveChunkSize(size_t batch_size,
                                              TaskPriority priority) const {
-  // A small batch is one chunk, run inline by LaunchBatch.
+  // A small batch is one chunk, run on the submitting thread by LaunchBatch.
   if (batch_size <= kInlineBatchMaxItems) {
     return std::max<size_t>(1, batch_size);
   }
   if (options_.chunk_size != 0) return options_.chunk_size;
-  // ~3 chunks per worker: enough granularity for stealing and for urgent
-  // batches to preempt at chunk boundaries, while keeping the per-chunk
-  // claim/countdown overhead amortized over many requests.
+  // ~3 chunks per worker: enough granularity for stealing and for
+  // higher-lane pool entries to preempt at chunk boundaries, while keeping
+  // the per-chunk claim/countdown overhead amortized over many requests.
   const size_t workers = std::max<size_t>(1, pool_->num_threads());
   size_t chunk = (batch_size + 3 * workers - 1) / (3 * workers);
   // Lane caps: an urgent batch wants small chunks (its latency is bounded
@@ -567,6 +575,7 @@ bool EstimationService::RunOneChunk(
   BatchState& batch = *state;
   const size_t chunk = batch.next_chunk.fetch_add(1, std::memory_order_relaxed);
   if (chunk >= batch.num_chunks) return false;
+  const bool more = chunk + 1 < batch.num_chunks;
   const size_t begin = chunk * batch.chunk_size;
   const size_t end = std::min(begin + batch.chunk_size, batch.work_items);
   // Chunks cover the deduplicated work list when the batch had duplicates
@@ -625,11 +634,10 @@ bool EstimationService::RunOneChunk(
     } catch (...) {
       // Estimation only throws on resource exhaustion (allocation), and the
       // grouped chunk's scratch is the biggest allocation on the path —
-      // retry each request alone before giving up on it. Surfacing failures
-      // per-request keeps the promise and callback flavors identical, and
-      // the countdown still reaches zero so completion is delivered exactly
-      // once. (Reset() below frees the packed copies too, so the retries
-      // read the originals straight from the batch.)
+      // retry each request alone before giving up on it. Failures surface
+      // per request, and the countdown still reaches zero so completion is
+      // delivered exactly once. (Reset() below frees the packed copies too,
+      // so the retries read the originals straight from the batch.)
       for (size_t i = begin; i < end; ++i) {
         EstimateResult& r = batch.results[request_at(i)];
         try {
@@ -647,73 +655,14 @@ bool EstimationService::RunOneChunk(
   // acq_rel: the final decrement observes every other chunk's writes, so
   // the finisher publishes fully-written results.
   if (batch.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (!batch.runs_inline()) UnscheduleBatch(&batch);
     FinishBatch(&batch);
   }
-  return true;
+  return more;
 }
 
 void EstimationService::RunChunks(
     const std::shared_ptr<BatchState>& state) const {
   while (RunOneChunk(state)) {
-  }
-}
-
-std::shared_ptr<EstimationService::BatchState>
-EstimationService::PickRunnable(TaskPriority lane_floor) const {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  for (size_t p = 0; p <= static_cast<size_t>(lane_floor); ++p) {
-    auto& lane = runnable_[p];
-    while (!lane.empty()) {
-      std::shared_ptr<BatchState>& front = lane.front();
-      if (front->next_chunk.load(std::memory_order_relaxed) >=
-          front->num_chunks) {
-        // Fully claimed (possibly still executing elsewhere; completion is
-        // the chunk countdown's job, not the scheduler's).
-        lane.pop_front();
-        runnable_count_[p].fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      return front;
-    }
-  }
-  return nullptr;
-}
-
-bool EstimationService::HigherPriorityRunnable(TaskPriority priority) const {
-  for (size_t p = 0; p < static_cast<size_t>(priority); ++p) {
-    if (runnable_count_[p].load(std::memory_order_relaxed) > 0) return true;
-  }
-  return false;
-}
-
-void EstimationService::UnscheduleBatch(const BatchState* state) const {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  const size_t p = static_cast<size_t>(state->priority);
-  auto& lane = runnable_[p];
-  for (auto it = lane.begin(); it != lane.end(); ++it) {
-    if (it->get() == state) {
-      lane.erase(it);
-      runnable_count_[p].fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-}
-
-void EstimationService::HelperLoop(TaskPriority lane_floor) const {
-  // Serve the highest-priority runnable batch at or above the helper's
-  // seed lane, switching batches only when the current one is exhausted or
-  // higher-priority work arrives (a cheap atomic poll) — the steady state
-  // claims chunks with a single fetch_add, no scheduler lock. A false
-  // RunOneChunk (the pick raced the batch's last claim) just re-picks; the
-  // exhausted batch is popped by the next PickRunnable scan. Newly
-  // submitted urgent batches preempt in-progress lower-priority work at
-  // chunk granularity without cancelling anything.
-  std::shared_ptr<BatchState> batch = PickRunnable(lane_floor);
-  while (batch != nullptr) {
-    if (!RunOneChunk(batch) || HigherPriorityRunnable(batch->priority)) {
-      batch = PickRunnable(lane_floor);
-    }
   }
 }
 
@@ -755,15 +704,14 @@ void EstimationService::FinishBatch(BatchState* state) const {
     }
     lane.histogram[LatencyBucket(us)].fetch_add(1, std::memory_order_relaxed);
   }
-  if (state->has_promise) {
-    state->promise.set_value(std::move(state->results));
-  } else if (state->callback) {
-    try {
-      state->callback(std::move(state->results));
-    } catch (...) {
-      // Swallow: a throwing callback must not prevent the helper task from
-      // releasing its in-flight slot (the destructor waits on that count).
-    }
+  // Moved out so the callback and its captures are gone before the pool
+  // entry releases its in-flight slot.
+  const BatchCallback done = std::move(state->callback);
+  try {
+    done(std::move(state->results));
+  } catch (...) {
+    // Swallow: a throwing callback must not prevent the pool entry from
+    // releasing its in-flight slot (the destructor waits on that count).
   }
 }
 
@@ -773,52 +721,39 @@ void EstimationService::LaunchBatch(
     FinishBatch(state.get());
     return;
   }
-  if (state->runs_inline()) {
+  if (state->work_items <= kInlineBatchMaxItems) {
     // A few rows cost less to estimate than a pool hand-off (queue, wake,
     // context switch, and the completion's trip back to the caller), so
-    // run the single chunk here: no lane, no helper, no in-flight slot.
+    // run the single chunk here: no pool entry, no in-flight slot.
     RunOneChunk(state);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    const size_t p = static_cast<size_t>(state->priority);
-    runnable_[p].push_back(state);
-    runnable_count_[p].fetch_add(1, std::memory_order_relaxed);
-  }
-  // Seed one helper per available worker (never more than there are
-  // chunks) on the batch's pool lane; helpers steal chunks — highest
-  // priority first, floored at their seed lane — until no such batch is
-  // runnable, so a stalled or saturated pool only reduces parallelism,
-  // never correctness: every batch's completion rests on its own helpers
-  // (and, for blocking calls, its submitter), never on higher-lane ones.
-  const size_t helpers = std::min(state->num_chunks, pool_->num_threads());
-  const TaskPriority lane_floor = state->priority;
-  for (size_t i = 0; i < helpers; ++i) {
-    AcquireInflight();
-    try {
-      pool_->Submit(lane_floor, [this, lane_floor]() {
-        HelperLoop(lane_floor);
-        ReleaseInflight();
-      });
-    } catch (...) {
-      // Pool shutting down: run this batch's remaining chunks on this
-      // thread so the batch still completes (the pool contract is that the
-      // service outlives it, but degrade gracefully rather than dropping
-      // work).
-      ReleaseInflight();
-      RunChunks(state);
-      return;
-    }
+  // One steppable entry on the batch's pool lane: each worker that picks it
+  // runs one chunk, then picks again from the highest non-empty lane, so
+  // other entries preempt this batch at chunk boundaries. The entry owns an
+  // in-flight slot, released when the pool destroys it.
+  const auto release = [](const EstimationService* service) {
+    service->ReleaseInflight();
+  };
+  AcquireInflight();
+  std::shared_ptr<const EstimationService> slot(this, release);
+  try {
+    pool_->SubmitSteps(state->priority, [slot, state]() {
+      return slot->RunOneChunk(state);
+    });
+  } catch (...) {
+    // Pool shutting down: run the chunks on this thread so the batch still
+    // completes (the pool contract is that the service outlives it, but
+    // degrade gracefully rather than dropping work).
+    RunChunks(state);
   }
 }
 
 std::vector<EstimateResult> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests,
     const SubmitOptions& submit_options) const {
-  auto state = MakeBatch(requests, submit_options);
-  state->has_promise = true;
-  auto future = state->promise.get_future();
+  std::future<std::vector<EstimateResult>> future;
+  auto state = MakeBatch(requests, PromiseCallback(&future), submit_options);
   LaunchBatch(state);
   // Help drain our own chunks — and only our own: a caller running on a
   // pool worker finishes the whole batch itself if no other worker is free
@@ -831,19 +766,15 @@ std::vector<EstimateResult> EstimationService::EstimateBatch(
 std::future<std::vector<EstimateResult>> EstimationService::SubmitBatch(
     std::vector<EstimateRequest> requests,
     const SubmitOptions& submit_options) const {
-  auto state = MakeBatch(std::move(requests), submit_options);
-  state->has_promise = true;
-  auto future = state->promise.get_future();
-  LaunchBatch(state);
+  std::future<std::vector<EstimateResult>> future;
+  SubmitBatch(std::move(requests), PromiseCallback(&future), submit_options);
   return future;
 }
 
 void EstimationService::SubmitBatch(std::vector<EstimateRequest> requests,
                                     BatchCallback done,
                                     const SubmitOptions& submit_options) const {
-  auto state = MakeBatch(std::move(requests), submit_options);
-  state->callback = std::move(done);
-  LaunchBatch(state);
+  LaunchBatch(MakeBatch(std::move(requests), std::move(done), submit_options));
 }
 
 std::future<EstimateResult> EstimationService::SubmitEstimate(

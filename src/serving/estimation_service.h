@@ -14,15 +14,16 @@
 // scheduling below applies to larger batches.
 //
 // Scheduling: every batch carries a TaskPriority and an optional deadline
-// (SubmitOptions). Chunks are fanned out on the pool lane matching the
-// batch's priority, and the service's own chunk scheduler serves runnable
-// batches highest-priority-first with FIFO order within a priority — so
-// small urgent batches (admission probes) overtake queued bulk scans at
-// chunk granularity instead of waiting for them to drain. Deadlines are
-// best-effort expiry, not cancellation: a chunk that has not started when
-// its batch's deadline passes completes with kDeadlineExceeded without
-// executing, while a started chunk always runs to completion and returns
-// the normal bit-identical value.
+// (SubmitOptions). A larger batch is one steppable entry on the ThreadPool
+// lane matching its priority; each worker step runs one chunk and then
+// picks again from the highest non-empty lane. The pool's lanes are the
+// only scheduler, so an urgent batch (admission probes) overtakes queued
+// normal or bulk batches at chunk granularity across every service sharing
+// the pool, and batches of one lane run FIFO whichever service or tenant
+// submitted them. Deadlines are best-effort expiry, not cancellation: a
+// chunk that has not started when its batch's deadline passes completes
+// with kDeadlineExceeded without executing, while a started chunk always
+// runs to completion and returns the normal bit-identical value.
 #ifndef RESEST_SERVING_ESTIMATION_SERVICE_H_
 #define RESEST_SERVING_ESTIMATION_SERVICE_H_
 
@@ -31,7 +32,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -230,14 +230,12 @@ using EstimateCallback = std::function<void(EstimateResult)>;
 /// that serves many clients on one thread (an HTTP I/O loop) therefore
 /// delays its next client by each small batch's own execution time.
 ///
-/// Priority: pool helper tasks are chunk drainers that serve the
-/// highest-priority runnable batch at or above the lane they were seeded
-/// on (FIFO within a priority), switching batches at chunk boundaries — a
-/// bulk scan in progress delays an urgent probe by at most one chunk per
-/// busy worker, while an urgent-lane pool slot never executes bulk work
-/// (which would starve other normal-lane pool users). Blocking callers
-/// only ever drain their own batch, so a blocking urgent caller never
-/// executes bulk work either.
+/// Priority: a larger batch is one steppable entry on its priority's pool
+/// lane (ThreadPool::SubmitSteps). A worker that picks it runs one chunk
+/// and picks again from the highest non-empty lane, so a bulk scan in
+/// progress delays an urgent batch by at most one chunk per busy worker,
+/// whichever service queued either. Blocking callers only ever drain their
+/// own batch, so a blocking urgent caller never executes bulk work.
 class EstimationService {
  public:
   EstimationService(const ModelRegistry* registry, ThreadPool* pool,
@@ -360,47 +358,33 @@ class EstimationService {
   /// Drops stale cache space when the active model version changes.
   void NoteServedVersion(uint64_t version) const;
 
-  /// Builds a batch state; `results` pre-filled for degenerate batches
-  /// (empty, oversized, expired-at-submit, no model).
+  /// Builds a batch state delivering to `done`; `results` pre-filled for
+  /// degenerate batches (empty, oversized, expired-at-submit, no model).
   std::shared_ptr<BatchState> MakeBatch(std::vector<EstimateRequest> requests,
+                                        BatchCallback done,
                                         const SubmitOptions& submit_options)
       const;
-  /// Registers a runnable batch with the chunk scheduler and seeds pool
-  /// helpers on its priority lane, or completes a degenerate or small batch
-  /// on the calling thread. Never waits on another thread.
+  /// Enqueues a larger batch as one steppable entry on its priority's pool
+  /// lane, or completes a degenerate or small batch on the calling thread.
+  /// Never waits on another thread.
   void LaunchBatch(const std::shared_ptr<BatchState>& state) const;
   /// Claims and runs one chunk of `state` (expiring it instead when the
   /// batch deadline has passed); finishes the batch when it was the last.
-  /// Returns false once the batch's chunk cursor is exhausted.
+  /// Returns whether unclaimed chunks may remain: false once the chunk
+  /// cursor is exhausted, including by this call's claim. This is the
+  /// step function of the batch's pool entry.
   bool RunOneChunk(const std::shared_ptr<BatchState>& state) const;
   /// Drains all remaining chunks of one batch; used by blocking callers
   /// (who must only ever execute their own batch) and shutdown fallback.
   void RunChunks(const std::shared_ptr<BatchState>& state) const;
-  /// Pool helper body: repeatedly serve the highest-priority runnable
-  /// batch at priority >= lane_floor, one chunk at a time, until none has
-  /// unclaimed chunks. The floor is the pool lane the helper was seeded
-  /// on: a helper occupying an urgent pool slot must not drain bulk work
-  /// there (it would starve other subsystems' normal-lane pool tasks);
-  /// lower-lane helpers serve higher-priority batches freely — that is the
-  /// chunk-granular preemption.
-  void HelperLoop(TaskPriority lane_floor) const;
-  /// Highest-priority batch with unclaimed chunks at priority >=
-  /// lane_floor (FIFO within a priority), or null. Pops exhausted batches
-  /// as it scans.
-  std::shared_ptr<BatchState> PickRunnable(TaskPriority lane_floor) const;
-  /// True when some runnable batch outranks `priority`; a cheap relaxed
-  /// read so helpers stay on their current batch lock-free until there is
-  /// a reason to switch.
-  bool HigherPriorityRunnable(TaskPriority priority) const;
-  /// Removes a completed batch from its scheduler lane.
-  void UnscheduleBatch(const BatchState* state) const;
-  /// Publishes results (promise or callback) and tallies per-request and
-  /// per-priority stats. Called exactly once per batch, by whichever
+  /// Delivers the results to the batch's callback and tallies per-request
+  /// and per-priority stats. Called exactly once per batch, by whichever
   /// thread drains last.
   void FinishBatch(BatchState* state) const;
 
-  /// In-flight accounting for pool helper tasks (each holds `this`); the
-  /// destructor waits for the count to reach zero.
+  /// In-flight accounting for pool entries (each can call into `this`
+  /// until the pool destroys it); the destructor waits for the count to
+  /// reach zero.
   void AcquireInflight() const;
   void ReleaseInflight() const;
 
@@ -434,23 +418,10 @@ class EstimationService {
   };
   mutable std::array<LaneCounters, kNumTaskPriorities> lane_counters_;
 
-  /// Chunk scheduler: runnable (non-degenerate, unexhausted) batches per
-  /// priority, FIFO within a lane. Helpers always serve the front of the
-  /// lowest-indexed non-empty lane at or above their floor.
-  mutable std::mutex sched_mu_;
-  mutable std::array<std::deque<std::shared_ptr<BatchState>>,
-                     kNumTaskPriorities>
-      runnable_;
-  /// Mirror of each lane's deque size, readable without sched_mu_ — lets a
-  /// helper poll "did higher-priority work arrive?" per chunk without
-  /// serializing all chunk claims on the scheduler mutex.
-  mutable std::array<std::atomic<size_t>, kNumTaskPriorities>
-      runnable_count_{};
-
   mutable std::mutex inflight_mu_;
   mutable std::condition_variable inflight_idle_;
-  /// Outstanding pool helper tasks (not batches: one batch holds up to
-  /// min(num_chunks, pool threads) slots until its helpers exit).
+  /// Pool entries not yet destroyed by the pool (one per batch above
+  /// kInlineBatchMaxItems work items).
   mutable size_t inflight_ = 0;
 };
 

@@ -17,8 +17,12 @@
 //    deployments recover unchanged) with its own LogBounds cap and
 //    RefitPolicy, via a per-tenant IncrementalTrainer.
 //
-// The shared pieces are the ThreadPool (priority lanes arbitrate CPU
-// across tenants at chunk granularity) and the ModelRegistry map itself.
+// The shared pieces are the ThreadPool and the ModelRegistry map itself.
+// The pool's priority lanes are the one scheduler of every tenant's
+// pool-bound batches: a worker picks again after each chunk, so a tenant's
+// batch waits for at most one chunk per busy worker behind another
+// tenant's lower-lane batch, and batches of one lane run FIFO whichever
+// tenant sent them.
 //
 // Heartbeat: Heartbeat() is designed to hang off the HTTP server's event-
 // loop sweep (HttpServerOptions::on_sweep). It self-rate-limits to

@@ -3,9 +3,9 @@
 // larger batch must not perform more heap allocations than the smaller one —
 // i.e. the steady-state cost per additional request/chunk is zero heap
 // traffic. (Per-batch setup — the request copy, the result vector, the
-// identity-dedup scan, one pool task per helper — allocates a small constant
-// number of blocks; per-request and per-chunk scratch all comes from the
-// thread-local arenas, which Reset() without freeing.)
+// identity-dedup scan, the batch's one pool entry — allocates a small
+// constant number of blocks; per-request and per-chunk scratch all comes
+// from the thread-local arenas, which Reset() without freeing.)
 //
 // The hook replaces the global operator new/delete for this test binary
 // only. Under ASan/TSan the sanitizer runtime interposes allocation itself,
@@ -149,9 +149,9 @@ TEST(AllocationTest, SteadyStateBatchAllocationsIndependentOfBatchSize) {
 
   // 4x the requests (and 4x the chunks) must not add heap traffic: the
   // per-chunk pipeline is arena-backed. The slack absorbs the per-batch
-  // constant (vectors, promise state, one pool task per helper) varying a
-  // little between runs; what it must never absorb is a per-request or
-  // per-chunk allocation (which would add hundreds here).
+  // constant (vectors, promise state, the pool entry) varying a little
+  // between runs; what it must never absorb is a per-request or per-chunk
+  // allocation (which would add hundreds here).
   EXPECT_LE(large_allocs, small_allocs + 32)
       << "small batch: " << small_allocs
       << " allocations, large batch: " << large_allocs;

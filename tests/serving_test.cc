@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -152,6 +153,125 @@ TEST(ThreadPoolTest, DestructorDrainsAllLanes) {
     }
   }  // ~ThreadPool must run every queued task on every lane before joining.
   EXPECT_EQ(done.load(), 24);
+}
+
+TEST(ThreadPoolTest, SeveralWorkersStepOneEntryConcurrently) {
+  ThreadPool pool(4);
+  // The first step waits for a second one to start: only a second worker
+  // stepping the same entry can let it return.
+  std::promise<void> second_started;
+  std::shared_future<void> second = second_started.get_future().share();
+  std::atomic<int> calls{0};
+  std::atomic<bool> overlapped{false};
+  std::mutex mu;
+  std::vector<std::thread::id> threads;
+  pool.SubmitSteps(TaskPriority::kNormal, [&]() {
+    const int k = calls.fetch_add(1);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.push_back(std::this_thread::get_id());
+    }
+    if (k == 0) {
+      overlapped.store(second.wait_for(std::chrono::seconds(30)) ==
+                       std::future_status::ready);
+    } else if (k == 1) {
+      second_started.set_value();
+    }
+    return k < 15;
+  });
+  pool.Wait();
+  EXPECT_TRUE(overlapped.load());
+  EXPECT_GE(calls.load(), 16);
+  std::sort(threads.begin(), threads.end());
+  EXPECT_GE(std::unique(threads.begin(), threads.end()) - threads.begin(), 2);
+  EXPECT_EQ(pool.QueueDepth(), 0u);
+}
+
+TEST(ThreadPoolTest, SteppableEntryIsPoppedExactlyOnceAfterFalse) {
+  // S's first step is still running when a second worker's step returns
+  // false and pops S; the first step then returns false too, while T is at
+  // the front of the lane. That late false must not pop T: T's second step
+  // waits for a third, which only a worker that picks T again can make.
+  std::promise<void> t_started_promise;
+  std::shared_future<void> t_started = t_started_promise.get_future().share();
+  std::promise<void> t_third_promise;
+  std::shared_future<void> t_third = t_third_promise.get_future().share();
+  std::atomic<int> s_calls{0};
+  std::atomic<int> t_calls{0};
+  std::atomic<int> s_destroyed{0};
+  std::atomic<bool> t_rejoined{false};
+  {
+    ThreadPool pool(2);
+    std::shared_ptr<void> s_guard(nullptr,
+                                  [&s_destroyed](void*) { ++s_destroyed; });
+    pool.SubmitSteps(TaskPriority::kNormal, [&, s_guard]() {
+      if (s_calls.fetch_add(1) == 0) {
+        t_started.wait_for(std::chrono::seconds(30));
+      }
+      return false;
+    });
+    s_guard.reset();
+    pool.SubmitSteps(TaskPriority::kNormal, [&]() {
+      const int k = t_calls.fetch_add(1);
+      if (k == 0) t_started_promise.set_value();
+      if (k == 1) {
+        t_rejoined.store(t_third.wait_for(std::chrono::seconds(30)) ==
+                         std::future_status::ready);
+      }
+      if (k == 2) t_third_promise.set_value();
+      return k < 4;
+    });
+    pool.Wait();
+    EXPECT_EQ(pool.QueueDepth(), 0u);
+  }
+  EXPECT_EQ(s_calls.load(), 2);
+  EXPECT_EQ(s_destroyed.load(), 1);
+  EXPECT_TRUE(t_rejoined.load()) << "a late false popped the next entry";
+  EXPECT_GE(t_calls.load(), 5);
+}
+
+TEST(ThreadPoolTest, UrgentEntryRunsBetweenTwoStepsOfABulkEntry) {
+  ThreadPool pool(1);
+  std::vector<const char*> order;  // one worker: no lock needed
+  int bulk_steps = 0;
+  pool.SubmitSteps(TaskPriority::kBulk, [&]() {
+    order.push_back("bulk");
+    if (bulk_steps++ == 0) {
+      pool.Submit(TaskPriority::kUrgent,
+                  [&order]() { order.push_back("urgent"); });
+      pool.SubmitSteps(TaskPriority::kNormal, [&order]() {
+        order.push_back("normal");
+        return false;
+      });
+    }
+    return bulk_steps < 3;
+  });
+  pool.Wait();
+  EXPECT_EQ(order, (std::vector<const char*>{"bulk", "urgent", "normal",
+                                             "bulk", "bulk"}));
+}
+
+TEST(ThreadPoolTest, WaitAndDestructorDrainSteppableEntries) {
+  constexpr int kSteps = 100;
+  std::atomic<int> done{0};
+  const auto step = [&done]() {
+    // Calls after the entry's first false do no work.
+    int n = done.load();
+    while (n < kSteps && !done.compare_exchange_weak(n, n + 1)) {
+    }
+    return n + 1 < kSteps;
+  };
+  {
+    ThreadPool pool(2);
+    pool.SubmitSteps(TaskPriority::kBulk, step);
+    pool.Wait();
+    EXPECT_EQ(done.load(), kSteps);
+    EXPECT_EQ(pool.QueueDepth(), 0u);
+    done.store(0);
+    pool.SubmitSteps(TaskPriority::kBulk, step);
+    pool.SubmitSteps(TaskPriority::kNormal, []() { return false; });
+  }  // ~ThreadPool steps every queued entry to its end before joining.
+  EXPECT_EQ(done.load(), kSteps);
 }
 
 // ---------------------------------------------------------------------------
@@ -732,12 +852,87 @@ TEST_F(ServingTest, UrgentBatchOvertakesQueuedBulkBatch) {
   urgent_done.get_future().wait();
   bulk_done.get_future().wait();
   // The urgent batch was submitted second but must complete first: the
-  // worker serves the urgent pool lane and the scheduler's urgent batch
-  // lane before touching bulk work.
+  // worker steps the urgent pool lane's entry before touching bulk work.
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(completion_order.size(), 2u);
   EXPECT_STREQ(completion_order[0], "urgent");
   EXPECT_STREQ(completion_order[1], "bulk");
+}
+
+TEST_F(ServingTest, PoolBoundBatchOfAnotherServiceIsNotStarved) {
+  // Two services share one single-worker pool, as tenants do under a
+  // TenantManager. A's worker is inside A's first bulk batch, A's second is
+  // queued, and B submits a normal batch. The worker picks again from the
+  // pool's lanes after every chunk, so B runs before A's second batch
+  // starts; it must not chain from one of A's batches into the next.
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+
+  constexpr size_t kRequests = kInlineBatchMaxItems + 1;
+  std::mutex mu;
+  std::vector<std::string> events;
+  const auto record = [&](const char* event) {
+    std::lock_guard<std::mutex> lock(mu);
+    events.push_back(event);
+  };
+  std::promise<void> a_claimed;
+  std::promise<void> resume_a;
+  std::shared_future<void> resume = resume_a.get_future().share();
+  std::atomic<int> a_claims{0};
+  ServiceOptions a_options;
+  a_options.chunk_size = 1;
+  a_options.chunk_claim_hook = [&](TaskPriority, bool) {
+    record("a");
+    if (a_claims.fetch_add(1) == 0) {
+      a_claimed.set_value();
+      resume.wait();
+    }
+  };
+  ServiceOptions b_options;
+  b_options.chunk_size = 1;
+  b_options.chunk_claim_hook = [&](TaskPriority, bool) { record("b"); };
+  EstimationService service_a(&registry, &pool, a_options);
+  EstimationService service_b(&registry, &pool, b_options);
+
+  const auto all = QueueRequests(Resource::kCpu);
+  ASSERT_GE(all.size(), 3 * kRequests);
+  const auto slice = [&](size_t k) {
+    return std::vector<EstimateRequest>(all.begin() + k * kRequests,
+                                        all.begin() + (k + 1) * kRequests);
+  };
+  SubmitOptions bulk;
+  bulk.priority = TaskPriority::kBulk;
+  auto a_first = service_a.SubmitBatch(slice(0), bulk);
+  auto a_second = service_a.SubmitBatch(slice(1), bulk);
+  a_claimed.get_future().wait();  // the worker is inside A's first batch
+  std::promise<void> b_done;
+  service_b.SubmitBatch(slice(2), [&](std::vector<EstimateResult> results) {
+    for (const auto& r : results) EXPECT_TRUE(r.ok());
+    record("B done");
+    b_done.set_value();
+  });
+  resume_a.set_value();
+  b_done.get_future().wait();
+  for (auto* f : {&a_first, &a_second}) {
+    for (const auto& r : f->get()) EXPECT_TRUE(r.ok());
+  }
+
+  // A's claims 1..kRequests belong to its first batch (FIFO within the
+  // bulk lane), so claim kRequests + 1 is the second batch's first chunk.
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(events.size(), 3 * kRequests + 1);
+  size_t a_seen = 0;
+  size_t b_done_at = events.size();
+  size_t a_second_at = events.size();
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i] == "B done") b_done_at = i;
+    if (events[i] == "a" && ++a_seen == kRequests + 1) a_second_at = i;
+  }
+  EXPECT_LT(b_done_at, a_second_at)
+      << "A's second bulk batch started before B's batch completed";
+  EXPECT_EQ(events[0], "a");
+  EXPECT_EQ(events[1], "b") << "B waited past the chunk A was running";
 }
 
 TEST_F(ServingTest, AlreadyExpiredBatchReturnsDeadlineExceededUnexecuted) {
@@ -775,11 +970,11 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   ThreadPool pool(1);
 
   // One request past the inline cap (so the batch goes to the pool), one-
-  // request chunks, one worker: exactly one helper claims chunks 0..8 in
-  // order. The hook parks the helper between the deadline check and the
-  // execution of chunk 0, the test lets the deadline pass, and every later
-  // claim must then expire while chunk 0 — already started — still
-  // completes with its normal value.
+  // request chunks, one worker: the pool's only worker steps the batch's
+  // entry, claiming chunks 0..8 in order. The hook parks the worker between
+  // the deadline check and the execution of chunk 0, the test lets the
+  // deadline pass, and every later claim must then expire while chunk 0 —
+  // already started — still completes with its normal value.
   std::promise<void> first_chunk_claimed;
   std::promise<void> resume_first_chunk;
   std::shared_future<void> resume = resume_first_chunk.get_future().share();
@@ -1188,20 +1383,29 @@ TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
     EstimateStatus status;
   };
   std::atomic<bool> stop{false};
+  std::atomic<int> serving{0};
   std::mutex obs_mu;
   std::vector<Observation> observations;
   std::vector<std::thread> traffic;
-  for (int t = 0; t < 3; ++t) {
+  constexpr int kTrafficThreads = 3;
+  for (int t = 0; t < kTrafficThreads; ++t) {
     traffic.emplace_back([&, t]() {
       size_t i = static_cast<size_t>(t);
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t idx = i++ % requests.size();
         const EstimateResult r = service.SubmitEstimate(requests[idx]).get();
         std::lock_guard<std::mutex> lock(obs_mu);
         observations.push_back({idx, r.model_version, r.value, r.status});
+        if (first) serving.fetch_add(1);
+        first = false;
       }
     });
   }
+  // Start the refit only once every traffic thread has served a request:
+  // on a busy host a new thread can take longer to get its first time
+  // slice than the whole refit takes, and then nothing raced the swap.
+  while (serving.load() < kTrafficThreads) std::this_thread::yield();
 
   const auto delta = trainer.RefitAndPublish(&registry, "default", &service);
   ASSERT_TRUE(delta);
