@@ -7,259 +7,232 @@
 
 namespace resest {
 
-struct JsonValue::Parser {
-  const char* p;
-  const char* end;
-  const char* begin;
-  std::string* error;
+namespace {
 
-  bool Fail(const std::string& message) {
-    if (error != nullptr) {
-      *error = "JSON error at byte " + std::to_string(p - begin) + ": " +
-               message;
-    }
-    return false;
+void AppendUtf8(unsigned cp, std::string* out) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
+}
 
-  void SkipSpace() {
-    while (p < end &&
-           (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
+}  // namespace
+
+bool JsonCursor::Fail(const char* message) {
+  error_ = "JSON error at byte " + std::to_string(offset()) + ": " + message;
+  return false;
+}
+
+bool JsonCursor::ReadLiteral(const char* literal) {
+  const char* q = literal;
+  const char* save = p_;
+  while (*q != '\0') {
+    if (p_ >= end_ || *p_ != *q) {
+      p_ = save;
+      return false;
     }
+    ++p_;
+    ++q;
   }
+  return true;
+}
 
-  bool Literal(const char* text) {
-    const char* q = text;
-    const char* save = p;
-    while (*q != '\0') {
-      if (p >= end || *p != *q) {
-        p = save;
-        return false;
-      }
-      ++p;
-      ++q;
-    }
-    return true;
-  }
-
-  bool ParseHex4(unsigned* out) {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (p >= end) return false;
-      const char c = *p++;
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        return false;
-      }
-    }
-    *out = value;
-    return true;
-  }
-
-  static void AppendUtf8(unsigned cp, std::string* out) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+bool JsonCursor::ReadHex4(unsigned* out) {
+  unsigned value = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (p_ >= end_) return false;
+    const char c = *p_++;
+    value <<= 4;
+    if (c >= '0' && c <= '9') {
+      value |= static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      value |= static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      value |= static_cast<unsigned>(c - 'A' + 10);
     } else {
-      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+      return false;
     }
   }
+  *out = value;
+  return true;
+}
 
-  bool ParseString(std::string* out) {
-    if (p >= end || *p != '"') return Fail("expected string");
-    ++p;
-    out->clear();
-    while (p < end) {
-      const unsigned char c = static_cast<unsigned char>(*p);
-      if (c == '"') {
-        ++p;
-        return true;
-      }
-      if (c == '\\') {
-        ++p;
-        if (p >= end) break;
-        const char esc = *p++;
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            unsigned cp = 0;
-            if (!ParseHex4(&cp)) return Fail("bad \\u escape");
-            if (cp >= 0xD800 && cp <= 0xDBFF) {
-              // High surrogate: require the paired low surrogate.
-              unsigned lo = 0;
-              if (p + 1 < end && p[0] == '\\' && p[1] == 'u') {
-                p += 2;
-                if (!ParseHex4(&lo) || lo < 0xDC00 || lo > 0xDFFF) {
-                  return Fail("bad surrogate pair");
-                }
-                cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-              } else {
-                return Fail("unpaired surrogate");
+bool JsonCursor::ReadString(std::string_view* out, std::string* scratch) {
+  if (p_ >= end_ || *p_ != '"') return Fail("expected string");
+  ++p_;
+  // Wire strings (keys, operator names) rarely carry escapes: scan for the
+  // closing quote and hand out a slice of the text, copying nothing.
+  const char* start = p_;
+  while (p_ < end_) {
+    const unsigned char c = static_cast<unsigned char>(*p_);
+    if (c == '"') {
+      *out = std::string_view(start, static_cast<size_t>(p_ - start));
+      ++p_;
+      return true;
+    }
+    if (c == '\\') break;
+    if (c < 0x20) return Fail("unescaped control character in string");
+    ++p_;
+  }
+  scratch->assign(start, p_);
+  while (p_ < end_) {
+    const unsigned char c = static_cast<unsigned char>(*p_);
+    if (c == '"') {
+      ++p_;
+      *out = *scratch;
+      return true;
+    }
+    if (c == '\\') {
+      ++p_;
+      if (p_ >= end_) break;
+      const char esc = *p_++;
+      switch (esc) {
+        case '"': scratch->push_back('"'); break;
+        case '\\': scratch->push_back('\\'); break;
+        case '/': scratch->push_back('/'); break;
+        case 'b': scratch->push_back('\b'); break;
+        case 'f': scratch->push_back('\f'); break;
+        case 'n': scratch->push_back('\n'); break;
+        case 'r': scratch->push_back('\r'); break;
+        case 't': scratch->push_back('\t'); break;
+        case 'u': {
+          unsigned cp = 0;
+          if (!ReadHex4(&cp)) return Fail("bad \\u escape");
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            // High surrogate: require the paired low surrogate.
+            unsigned lo = 0;
+            if (p_ + 1 < end_ && p_[0] == '\\' && p_[1] == 'u') {
+              p_ += 2;
+              if (!ReadHex4(&lo) || lo < 0xDC00 || lo > 0xDFFF) {
+                return Fail("bad surrogate pair");
               }
-            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            } else {
               return Fail("unpaired surrogate");
             }
-            AppendUtf8(cp, out);
-            break;
+          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+            return Fail("unpaired surrogate");
           }
-          default:
-            return Fail("bad escape character");
+          AppendUtf8(cp, scratch);
+          break;
         }
-        continue;
+        default:
+          return Fail("bad escape character");
       }
-      if (c < 0x20) return Fail("unescaped control character in string");
-      out->push_back(static_cast<char>(c));
-      ++p;
+      continue;
     }
-    return Fail("unterminated string");
+    if (c < 0x20) return Fail("unescaped control character in string");
+    scratch->push_back(static_cast<char>(c));
+    ++p_;
   }
+  return Fail("unterminated string");
+}
 
-  bool ParseNumber(double* out) {
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || *p < '0' || *p > '9') return Fail("bad number");
-    if (*p == '0') {
-      ++p;
-    } else {
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || *p < '0' || *p > '9') return Fail("bad fraction");
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || *p < '0' || *p > '9') return Fail("bad exponent");
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    // The grammar check above guarantees the token is exactly [start, p);
-    // from_chars is correctly rounded (same double strtod would produce)
-    // and needs no NUL-terminated copy — numbers dominate estimate bodies,
-    // so this path must not allocate.
-    const auto result = std::from_chars(start, p, *out);
-    if (result.ec == std::errc::result_out_of_range) {
-      // Overflow/underflow saturate the way strtod does (±HUGE_VAL / 0).
-      std::string token(start, p);
-      *out = std::strtod(token.c_str(), nullptr);
-    }
-    return true;
+bool JsonCursor::ReadNumber(double* out) {
+  const char* start = p_;
+  if (p_ < end_ && *p_ == '-') ++p_;
+  if (p_ >= end_ || *p_ < '0' || *p_ > '9') return Fail("bad number");
+  if (*p_ == '0') {
+    ++p_;
+  } else {
+    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
   }
+  if (p_ < end_ && *p_ == '.') {
+    ++p_;
+    if (p_ >= end_ || *p_ < '0' || *p_ > '9') return Fail("bad fraction");
+    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
+  }
+  if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
+    ++p_;
+    if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+    if (p_ >= end_ || *p_ < '0' || *p_ > '9') return Fail("bad exponent");
+    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
+  }
+  // The grammar check above guarantees the token is exactly [start, p_);
+  // from_chars is correctly rounded (same double strtod would produce)
+  // and needs no NUL-terminated copy — numbers dominate estimate bodies,
+  // so this path must not allocate.
+  const auto result = std::from_chars(start, p_, *out);
+  if (result.ec == std::errc::result_out_of_range) {
+    // Overflow/underflow saturate the way strtod does (±HUGE_VAL / 0).
+    std::string token(start, p_);
+    *out = std::strtod(token.c_str(), nullptr);
+  }
+  return true;
+}
 
-  bool ParseValue(JsonValue* out, size_t depth) {
-    if (depth >= kMaxJsonDepth) return Fail("nesting too deep");
-    SkipSpace();
-    if (p >= end) return Fail("unexpected end of input");
-    switch (*p) {
-      case 'n':
-        if (!Literal("null")) return Fail("bad literal");
-        out->type_ = Type::kNull;
-        return true;
-      case 't':
-        if (!Literal("true")) return Fail("bad literal");
-        out->type_ = Type::kBool;
-        out->bool_ = true;
-        return true;
-      case 'f':
-        if (!Literal("false")) return Fail("bad literal");
-        out->type_ = Type::kBool;
-        out->bool_ = false;
-        return true;
-      case '"':
-        out->type_ = Type::kString;
-        return ParseString(&out->string_);
-      case '[': {
-        ++p;
-        out->type_ = Type::kArray;
-        SkipSpace();
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        while (true) {
-          out->items_.emplace_back();
-          if (!ParseValue(&out->items_.back(), depth + 1)) return false;
-          SkipSpace();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          if (p < end && *p == ']') {
-            ++p;
-            return true;
-          }
-          return Fail("expected ',' or ']' in array");
-        }
-      }
-      case '{': {
-        ++p;
-        out->type_ = Type::kObject;
-        SkipSpace();
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        while (true) {
-          SkipSpace();
-          std::string key;
-          if (!ParseString(&key)) return false;
-          SkipSpace();
-          if (p >= end || *p != ':') return Fail("expected ':' in object");
-          ++p;
-          out->members_.emplace_back(std::move(key), JsonValue());
-          if (!ParseValue(&out->members_.back().second, depth + 1)) {
-            return false;
-          }
-          SkipSpace();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          if (p < end && *p == '}') {
-            ++p;
-            return true;
-          }
-          return Fail("expected ',' or '}' in object");
-        }
-      }
-      default:
-        out->type_ = Type::kNumber;
-        return ParseNumber(&out->number_);
+bool JsonCursor::SkipValue(size_t depth) {
+  JsonValue discarded;
+  return JsonValue::ParseValue(*this, depth, &discarded);
+}
+
+bool JsonCursor::Finish() {
+  SkipSpace();
+  return p_ == end_ || Fail("trailing characters");
+}
+
+bool JsonValue::ParseValue(JsonCursor& json, size_t depth, JsonValue* out) {
+  if (depth >= kMaxJsonDepth) return json.Fail("nesting too deep");
+  const char next = json.Peek();
+  if (json.at_end()) return json.Fail("unexpected end of input");
+  switch (next) {
+    case 'n':
+      if (!json.ReadLiteral("null")) return json.Fail("bad literal");
+      out->type_ = Type::kNull;
+      return true;
+    case 't':
+      if (!json.ReadLiteral("true")) return json.Fail("bad literal");
+      out->type_ = Type::kBool;
+      out->bool_ = true;
+      return true;
+    case 'f':
+      if (!json.ReadLiteral("false")) return json.Fail("bad literal");
+      out->type_ = Type::kBool;
+      out->bool_ = false;
+      return true;
+    case '"': {
+      out->type_ = Type::kString;
+      std::string_view text;
+      if (!json.ReadString(&text, &out->string_)) return false;
+      if (text.data() != out->string_.data()) out->string_.assign(text);
+      return true;
     }
+    case '[':
+      out->type_ = Type::kArray;
+      return json.ReadArray([&] {
+        out->items_.emplace_back();
+        return ParseValue(json, depth + 1, &out->items_.back());
+      });
+    case '{':
+      out->type_ = Type::kObject;
+      return json.ReadObject([&](std::string_view key) {
+        out->members_.emplace_back(std::string(key), JsonValue());
+        return ParseValue(json, depth + 1, &out->members_.back().second);
+      });
+    default:
+      out->type_ = Type::kNumber;
+      return json.ReadNumber(&out->number_);
   }
-};
+}
 
 bool JsonValue::Parse(const std::string& text, JsonValue* out,
                       std::string* error) {
   *out = JsonValue();
-  Parser parser{text.data(), text.data() + text.size(), text.data(), error};
-  if (!parser.ParseValue(out, 0)) return false;
-  parser.SkipSpace();
-  if (parser.p != parser.end) return parser.Fail("trailing characters");
-  return true;
+  JsonCursor json(text);
+  if (ParseValue(json, 0, out) && json.Finish()) return true;
+  if (error != nullptr) *error = json.error();
+  return false;
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {

@@ -313,6 +313,25 @@ int main(int argc, char** argv) {
   // Durable logs are opened (and recovered) before the model publish so
   // replayed rows are in place when the baseline attaches.
   {
+    // One line per tenant; the default tenant's names its directory and
+    // any recovery detail.
+    const auto report_recovery = [&](const std::string& id,
+                                     const RecoveryStats& r) {
+      if (flags.data_dir.empty()) return;
+      const bool named = id != kDefaultTenant;
+      const std::string who = named ? "tenant " + id + ": " : "";
+      const std::string from = named ? "" : "from " + flags.data_dir + " ";
+      const std::string detail = named || r.clean() ? "" : ": " + r.detail;
+      std::fprintf(stderr,
+                   "resest_server: %srecovered %llu observation rows %s"
+                   "(%llu segments, %llu records dropped%s)\n",
+                   who.c_str(),
+                   static_cast<unsigned long long>(r.rows_recovered),
+                   from.c_str(),
+                   static_cast<unsigned long long>(r.segments_replayed),
+                   static_cast<unsigned long long>(r.records_dropped),
+                   detail.c_str());
+    };
     std::string error;
     RecoveryStats recovery;
     if (tenants.AddTenant(kDefaultTenant, &error, &recovery) == nullptr) {
@@ -322,37 +341,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> named = SplitCommaList(flags.tenants);
     for (const std::string& id : named) {
       RecoveryStats tenant_recovery;
-      TenantManager::Tenant* tenant =
-          tenants.AddTenant(id, &error, &tenant_recovery);
-      if (tenant == nullptr) {
+      if (tenants.AddTenant(id, &error, &tenant_recovery) == nullptr) {
         std::fprintf(stderr, "resest_server: %s\n", error.c_str());
         return 1;
       }
-      if (!flags.data_dir.empty()) {
-        std::fprintf(
-            stderr,
-            "resest_server: tenant %s: recovered %llu observation rows "
-            "(%llu segments, %llu records dropped)\n",
-            id.c_str(),
-            static_cast<unsigned long long>(tenant_recovery.rows_recovered),
-            static_cast<unsigned long long>(
-                tenant_recovery.segments_replayed),
-            static_cast<unsigned long long>(
-                tenant_recovery.records_dropped));
-      }
+      report_recovery(id, tenant_recovery);
     }
-    if (!flags.data_dir.empty()) {
-      std::fprintf(
-          stderr,
-          "resest_server: recovered %llu observation rows from %s "
-          "(%llu segments, %llu records dropped%s%s)\n",
-          static_cast<unsigned long long>(recovery.rows_recovered),
-          flags.data_dir.c_str(),
-          static_cast<unsigned long long>(recovery.segments_replayed),
-          static_cast<unsigned long long>(recovery.records_dropped),
-          recovery.clean() ? "" : ": ",
-          recovery.clean() ? "" : recovery.detail.c_str());
-    }
+    report_recovery(kDefaultTenant, recovery);
   }
 
   // The model is loaded/trained once and published under every tenant's
@@ -468,23 +463,14 @@ int main(int argc, char** argv) {
       const DurabilityStats d = tenant->trainer->durability_stats();
       // The default tenant keeps the pre-tenancy line format — the drain
       // test and CI smoke script scan for "resest_server: wal".
-      if (id == kDefaultTenant) {
-        std::printf(
-            "resest_server: wal %s (%llu records, %llu segments, "
-            "%llu append failures)\n",
-            drained ? "sealed" : "seal FAILED",
-            static_cast<unsigned long long>(d.wal.records_appended),
-            static_cast<unsigned long long>(d.wal.segments_sealed),
-            static_cast<unsigned long long>(d.wal_append_failures));
-      } else {
-        std::printf(
-            "resest_server: tenant %s wal %s (%llu records, %llu segments, "
-            "%llu append failures)\n",
-            id.c_str(), drained ? "sealed" : "seal FAILED",
-            static_cast<unsigned long long>(d.wal.records_appended),
-            static_cast<unsigned long long>(d.wal.segments_sealed),
-            static_cast<unsigned long long>(d.wal_append_failures));
-      }
+      const std::string who = id == kDefaultTenant ? "" : "tenant " + id + " ";
+      std::printf(
+          "resest_server: %swal %s (%llu records, %llu segments, "
+          "%llu append failures)\n",
+          who.c_str(), drained ? "sealed" : "seal FAILED",
+          static_cast<unsigned long long>(d.wal.records_appended),
+          static_cast<unsigned long long>(d.wal.segments_sealed),
+          static_cast<unsigned long long>(d.wal_append_failures));
     }
   }
 

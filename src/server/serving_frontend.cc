@@ -132,9 +132,9 @@ void ServingFrontend::HandleAsync(
     respond(Handle(request));
     return;
   }
-  // Parse inline on the I/O thread (cheap relative to estimation — the
-  // fast-path scanner decodes the hot shape in one pass); only the
-  // estimation itself is deferred into the batch pipeline.
+  // Parse inline on the I/O thread (cheap relative to estimation: one pass
+  // over the body, no tree); only the estimation itself is deferred into
+  // the batch pipeline.
   std::vector<EstimateRequest> requests;
   SubmitOptions options;
   std::string body_tenant;
@@ -237,37 +237,8 @@ std::vector<TenantStats> ServingFrontend::TenantSnapshots() const {
   // Single-tenant mode: synthesize the default tenant's entry from the
   // frontend's own seams so the tenant families are always present.
   TenantStats t;
-  t.tenant = kDefaultTenant;
-  t.model_name = model_name_;
-  t.model_version = registry_->Get(model_name_).version;
-  const ServiceStats s = service_->stats();
-  t.requests = s.requests;
-  t.batches = s.batches;
-  t.deadline_expired = s.deadline_expired;
-  t.cache_hits = s.cache_hits;
-  t.cache_misses = s.cache_misses;
-  t.cache_evictions = s.cache_evictions;
-  t.cache_entries = s.cache_entries;
-  t.cache_capacity = service_->options().enable_cache
-                         ? service_->options().cache_capacity
-                         : 0;
-  t.cache_hit_rate = s.CacheHitRate();
-  t.cache_pressure =
-      t.cache_capacity == 0
-          ? 0.0
-          : static_cast<double>(t.cache_entries) /
-                static_cast<double>(t.cache_capacity);
-  if (trainer_ != nullptr) {
-    const DurabilityStats d = trainer_->durability_stats();
-    t.durable = d.durable;
-    t.obslog_bytes = d.memory_bytes;
-    t.obslog_pending_rows = trainer_->TotalPendingRows();
-    t.wal_records = d.wal.records_appended;
-  }
-  for (size_t p = 0; p < kNumTaskPriorities; ++p) {
-    t.lane_p99_ms[p] = s.priorities[p].ApproxLatencyPercentileMs(0.99);
-    t.lane_mean_ms[p] = s.priorities[p].MeanLatencyMs();
-  }
+  SnapshotTenant(kDefaultTenant, model_name_, *registry_, *service_, trainer_,
+                 &t);
   return {std::move(t)};
 }
 
@@ -340,8 +311,9 @@ HttpResponse ServingFrontend::HandleMetrics() const {
     snapshot.has_coalescer = true;
     snapshot.coalescer = coalescer_->stats();
   } else if (tenants_ != nullptr) {
-    // Multi-tenant servers keep the aggregate coalescer families alive by
-    // summing over tenants is overkill; expose the default tenant's.
+    // Multi-tenant servers export the default tenant's coalescer in the
+    // aggregate coalescer families (summing over tenants would add little),
+    // so the families stay present.
     const TenantManager::Tenant* def = tenants_->Resolve(kDefaultTenant);
     if (def != nullptr && def->coalescer != nullptr) {
       snapshot.has_coalescer = true;

@@ -1,12 +1,12 @@
 #include "src/server/wire_api.h"
 
 #include <algorithm>
-#include <charconv>
+#include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <initializer_list>
+#include <string_view>
+#include <utility>
 
 namespace resest {
 namespace {
@@ -49,357 +49,286 @@ bool FindUnknownKey(const JsonValue& object,
   return false;
 }
 
-/// Single-pass scanner for the hot /v1/estimate body shape. It only ever
-/// accepts inputs the JsonValue tree path would accept with identical
-/// outputs; anything unusual — escaped strings, unknown or duplicate keys,
-/// wrong types, out-of-range feature counts, syntax errors — makes it bail
-/// so the caller can rerun the tree parser for the canonical verdict and
-/// error message. Numbers go through the same from_chars/strtod pair as
-/// JsonValue, so decoded doubles are bit-identical between the two paths.
-struct FastEstimateScanner {
-  const char* p;
-  const char* end;
+/// Where each field of one JSON object was last set, and whether that
+/// value kept the contract. A duplicate key replaces the earlier
+/// occurrence, so the last one wins (as JsonValue::Find does). Error texts
+/// are written only once the object is known to be rejected.
+template <size_t kFields>
+class FieldMarks {
+ public:
+  FieldMarks() { at_.fill(kAbsent); }
 
-  void SkipSpace() {
-    while (p < end &&
-           (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
+  /// Field `field` was set by the member whose value starts at byte `at`.
+  void Set(size_t field, size_t at, bool valid) {
+    at_[field] = at;
+    valid_[field] = valid;
+  }
+  bool Has(size_t field) const { return at_[field] != kAbsent; }
+
+  /// The field holding the first invalid value in document order, or
+  /// kFields when every value is valid.
+  size_t FirstInvalid() const {
+    size_t first = kFields;
+    for (size_t f = 0; f < kFields; ++f) {
+      if (Has(f) && !valid_[f] && (first == kFields || at_[f] < at_[first])) {
+        first = f;
+      }
     }
+    return first;
   }
 
-  bool Eat(char c) {
-    SkipSpace();
-    if (p < end && *p == c) {
-      ++p;
+ private:
+  static constexpr size_t kAbsent = static_cast<size_t>(-1);
+  std::array<size_t, kFields> at_;
+  std::array<bool, kFields> valid_{};
+};
+
+constexpr char kPriorityError[] =
+    "\"priority\" must be one of \"urgent\", \"normal\", \"bulk\"";
+constexpr char kRequestsError[] = "\"requests\" must be a non-empty array";
+constexpr char kOpError[] =
+    ".op must be an operator type name (e.g. \"TableScan\")";
+constexpr char kResourceError[] = ".resource must be \"CPU\" or \"IO\"";
+constexpr char kFeaturesError[] = ".features must be an array of numbers";
+
+// Nesting depths in an estimate body, as JsonCursor::SkipValue counts them.
+constexpr size_t kFieldDepth = 1;      // A top-level member's value.
+constexpr size_t kItemDepth = 2;       // requests[i].
+constexpr size_t kItemFieldDepth = 3;  // requests[i].op and its siblings.
+constexpr size_t kFeatureDepth = 4;    // requests[i].features[f].
+
+/// "requests[<index>]<what>".
+std::string ItemError(size_t index, const std::string& what) {
+  return "requests[" + std::to_string(index) + "]" + what;
+}
+
+/// What one "features" value held.
+struct FeaturesShape {
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+  size_t count = kNone;             ///< Its length; kNone if not an array.
+  size_t first_non_number = kNone;  ///< Index of its first non-number.
+
+  bool valid() const {
+    return count <= static_cast<size_t>(kNumFeatures) &&
+           first_non_number == kNone;
+  }
+  /// The error of an invalid value: a length past kNumFeatures is reported
+  /// before the type of any element.
+  std::string Error(size_t index) const {
+    if (count == kNone) return ItemError(index, kFeaturesError);
+    if (count > static_cast<size_t>(kNumFeatures)) {
+      return ItemError(index, ".features has " + std::to_string(count) +
+                                  " entries; at most " +
+                                  std::to_string(kNumFeatures) +
+                                  " are defined");
+    }
+    return ItemError(index, ".features[" + std::to_string(first_non_number) +
+                                "] must be a number");
+  }
+};
+
+/// The strict single-pass /v1/estimate decoder. Each method consumes one
+/// value and returns false only on a JSON syntax error, which the cursor
+/// holds; a contract error is written to *error, the first in document
+/// order. A value of the wrong type is still consumed
+/// (JsonCursor::SkipValue), so a syntax error anywhere in the body wins
+/// over every contract error.
+struct EstimateDecoder {
+  JsonCursor json;
+  std::vector<EstimateRequest>* requests;
+  SubmitOptions* options;
+  std::string* tenant;
+  std::string scratch;       // Decoded escaped string values.
+  std::string item_unknown;  // The first unknown key of the current item.
+
+  /// Reads a value that must be a string; *ok tells whether it was one.
+  bool String(size_t depth, std::string_view* out, bool* ok) {
+    *ok = json.Peek() == '"';
+    return *ok ? json.ReadString(out, &scratch) : json.SkipValue(depth);
+  }
+
+  /// Reads a value that must be a number; *ok tells whether it was one.
+  bool Number(size_t depth, double* out, bool* ok) {
+    const char c = json.Peek();
+    *ok = c == '-' || (c >= '0' && c <= '9');
+    return *ok ? json.ReadNumber(out) : json.SkipValue(depth);
+  }
+
+  bool Body(std::string* error) {
+    if (json.Peek() != '{') {
+      *error = "request body must be a JSON object";
+      return json.SkipValue(0) && json.Finish();
+    }
+    enum { kTenant, kPriority, kDeadline, kRequests, kUnknown, kNumFields };
+    FieldMarks<kNumFields> fields;
+    std::string unknown;         // The first unknown key.
+    std::string requests_error;  // The last "requests" value's error.
+    const bool parsed = json.ReadObject([&](std::string_view key) {
+      const size_t at = json.offset();
+      std::string_view text;
+      bool ok = false;
+      if (key == "requests") {
+        requests_error.clear();
+        if (!Requests(&requests_error)) return false;
+        fields.Set(kRequests, at, requests_error.empty());
+      } else if (key == "tenant") {
+        if (!String(kFieldDepth, &text, &ok)) return false;
+        if (ok && tenant != nullptr) tenant->assign(text);
+        fields.Set(kTenant, at, ok);
+      } else if (key == "priority") {
+        if (!String(kFieldDepth, &text, &ok)) return false;
+        fields.Set(kPriority, at,
+                   ok && ParseTaskPriority(std::string(text),
+                                           &options->priority));
+      } else if (key == "deadline_ms") {
+        double ms = 0.0;
+        if (!Number(kFieldDepth, &ms, &ok)) return false;
+        ok = ok && ms > 0.0 && std::isfinite(ms);
+        if (ok) options->deadline = DeadlineAfterMs(ms);
+        fields.Set(kDeadline, at, ok);
+      } else {
+        if (!fields.Has(kUnknown)) {
+          fields.Set(kUnknown, at, false);
+          unknown.assign(key);
+        }
+        return json.SkipValue(kFieldDepth);
+      }
+      return true;
+    });
+    if (!parsed || !json.Finish()) return false;
+    switch (fields.FirstInvalid()) {
+      case kTenant: *error = "\"tenant\" must be a string"; break;
+      case kPriority: *error = kPriorityError; break;
+      case kDeadline:
+        *error = "\"deadline_ms\" must be a positive number";
+        break;
+      case kRequests: *error = std::move(requests_error); break;
+      case kUnknown: *error = "unknown field \"" + unknown + "\""; break;
+      default:
+        if (!fields.Has(kRequests)) *error = kRequestsError;
+    }
+    return true;
+  }
+
+  /// Decodes the requests array; the first bad entry's error goes to
+  /// *error.
+  bool Requests(std::string* error) {
+    requests->clear();
+    if (json.Peek() != '[') {
+      *error = kRequestsError;
+      return json.SkipValue(kFieldDepth);
+    }
+    size_t count = 0;
+    if (!json.ReadArray([&] { return Item(count++, error); })) return false;
+    if (count == 0) *error = kRequestsError;
+    return true;
+  }
+
+  /// Decodes requests[index] and appends it to *requests; on a contract
+  /// error writes it to *error unless an earlier entry already did.
+  bool Item(size_t index, std::string* error) {
+    if (json.Peek() != '{') {
+      if (error->empty()) *error = ItemError(index, " must be an object");
+      return json.SkipValue(kItemDepth);
+    }
+    enum { kOp, kResource, kFeatures, kUnknown, kNumFields };
+    FieldMarks<kNumFields> fields;
+    OpType op = OpType::kTableScan;
+    Resource resource = Resource::kCpu;
+    FeatureVector features{};
+    FeaturesShape shape;
+    const bool parsed = json.ReadObject([&](std::string_view key) {
+      const size_t at = json.offset();
+      std::string_view text;
+      bool ok = false;
+      if (key == "op") {
+        if (!String(kItemFieldDepth, &text, &ok)) return false;
+        fields.Set(kOp, at, ok && ParseOpType(std::string(text), &op));
+      } else if (key == "resource") {
+        if (!String(kItemFieldDepth, &text, &ok)) return false;
+        fields.Set(kResource, at,
+                   ok && ParseResource(std::string(text), &resource));
+      } else if (key == "features") {
+        if (!Features(&features, &shape)) return false;
+        fields.Set(kFeatures, at, shape.valid());
+      } else {
+        if (!fields.Has(kUnknown)) {
+          fields.Set(kUnknown, at, false);
+          item_unknown.assign(key);
+        }
+        return json.SkipValue(kItemFieldDepth);
+      }
+      return true;
+    });
+    if (!parsed) return false;
+    const size_t invalid = fields.FirstInvalid();
+    if (invalid == kNumFields && fields.Has(kOp) && fields.Has(kResource) &&
+        fields.Has(kFeatures)) {
+      requests->push_back(EstimateRequest::ForOperator(op, features, resource));
       return true;
     }
-    return false;
+    if (!error->empty()) return true;
+    size_t reported = invalid;
+    if (reported == kNumFields) {
+      // A missing field counts as sitting at the end of the object.
+      reported = !fields.Has(kOp)         ? kOp
+                 : !fields.Has(kResource) ? kResource
+                                          : kFeatures;
+    }
+    switch (reported) {
+      case kOp: *error = ItemError(index, kOpError); break;
+      case kResource: *error = ItemError(index, kResourceError); break;
+      case kFeatures: *error = shape.Error(index); break;
+      default:
+        *error =
+            ItemError(index, " has unknown field \"" + item_unknown + "\"");
+    }
+    return true;
   }
 
-  /// A string literal with no escapes and no control bytes: [*b, *e) is the
-  /// raw content. Escaped strings bail to the tree path.
-  bool RawString(const char** b, const char** e) {
-    SkipSpace();
-    if (p >= end || *p != '"') return false;
-    ++p;
-    *b = p;
-    while (p < end) {
-      const unsigned char c = static_cast<unsigned char>(*p);
-      if (c == '"') {
-        *e = p;
-        ++p;
-        return true;
-      }
-      if (c == '\\' || c < 0x20) return false;
-      ++p;
+  /// Reads a "features" value into *features (zero-filled past its end)
+  /// and records its shape.
+  bool Features(FeatureVector* features, FeaturesShape* shape) {
+    *features = FeatureVector{};
+    *shape = FeaturesShape{};
+    if (json.Peek() != '[') return json.SkipValue(kItemFieldDepth);
+    size_t count = 0;
+    if (!json.ReadArray([&] {
+          const size_t f = count++;
+          if (f >= static_cast<size_t>(kNumFeatures)) {
+            return json.SkipValue(kFeatureDepth);
+          }
+          bool ok = false;
+          if (!Number(kFeatureDepth, &(*features)[f], &ok)) return false;
+          if (!ok && shape->first_non_number == FeaturesShape::kNone) {
+            shape->first_non_number = f;
+          }
+          return true;
+        })) {
+      return false;
     }
-    return false;
-  }
-
-  /// Same grammar + conversion as JsonValue::Parser::ParseNumber.
-  bool Number(double* out) {
-    SkipSpace();
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || *p < '0' || *p > '9') return false;
-    if (*p == '0') {
-      ++p;
-    } else {
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || *p < '0' || *p > '9') return false;
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || *p < '0' || *p > '9') return false;
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    const auto result = std::from_chars(start, p, *out);
-    if (result.ec == std::errc::result_out_of_range) {
-      std::string token(start, p);
-      *out = std::strtod(token.c_str(), nullptr);
-    }
+    shape->count = count;
     return true;
   }
 };
 
-bool SliceEquals(const char* b, const char* e, const char* literal) {
-  const size_t n = std::strlen(literal);
-  return static_cast<size_t>(e - b) == n && std::memcmp(b, literal, n) == 0;
-}
-
-bool FastParseRequestItems(FastEstimateScanner& s,
-                           std::vector<EstimateRequest>* requests) {
-  if (!s.Eat('[')) return false;
-  requests->clear();
-  s.SkipSpace();
-  // An empty array is a wire error; let the tree path phrase it.
-  if (s.p < s.end && *s.p == ']') return false;
-  while (true) {
-    if (!s.Eat('{')) return false;
-    bool seen_op = false;
-    bool seen_resource = false;
-    bool seen_features = false;
-    OpType op = OpType::kTableScan;
-    Resource resource = Resource::kCpu;
-    FeatureVector features{};
-    while (true) {
-      const char* kb;
-      const char* ke;
-      if (!s.RawString(&kb, &ke)) return false;
-      if (!s.Eat(':')) return false;
-      if (SliceEquals(kb, ke, "op")) {
-        if (seen_op) return false;
-        seen_op = true;
-        const char* vb;
-        const char* ve;
-        if (!s.RawString(&vb, &ve)) return false;
-        if (!ParseOpType(std::string(vb, ve), &op)) return false;
-      } else if (SliceEquals(kb, ke, "resource")) {
-        if (seen_resource) return false;
-        seen_resource = true;
-        const char* vb;
-        const char* ve;
-        if (!s.RawString(&vb, &ve)) return false;
-        if (!ParseResource(std::string(vb, ve), &resource)) return false;
-      } else if (SliceEquals(kb, ke, "features")) {
-        if (seen_features) return false;
-        seen_features = true;
-        if (!s.Eat('[')) return false;
-        s.SkipSpace();
-        size_t count = 0;
-        if (s.p < s.end && *s.p == ']') {
-          ++s.p;
-        } else {
-          while (true) {
-            if (count >= static_cast<size_t>(kNumFeatures)) return false;
-            if (!s.Number(&features[count])) return false;
-            ++count;
-            s.SkipSpace();
-            if (s.p < s.end && *s.p == ',') {
-              ++s.p;
-              continue;
-            }
-            if (s.p < s.end && *s.p == ']') {
-              ++s.p;
-              break;
-            }
-            return false;
-          }
-        }
-      } else {
-        return false;  // Unknown key: the tree path owns the diagnostic.
-      }
-      s.SkipSpace();
-      if (s.p < s.end && *s.p == ',') {
-        ++s.p;
-        continue;
-      }
-      if (s.p < s.end && *s.p == '}') {
-        ++s.p;
-        break;
-      }
-      return false;
-    }
-    if (!seen_op || !seen_resource || !seen_features) return false;
-    requests->push_back(EstimateRequest::ForOperator(op, features, resource));
-    s.SkipSpace();
-    if (s.p < s.end && *s.p == ',') {
-      ++s.p;
-      continue;
-    }
-    if (s.p < s.end && *s.p == ']') {
-      ++s.p;
-      return true;
-    }
-    return false;
-  }
-}
-
-bool TryFastEstimateParse(const std::string& body,
-                          std::vector<EstimateRequest>* requests,
-                          SubmitOptions* options, std::string* tenant) {
-  FastEstimateScanner s{body.data(), body.data() + body.size()};
-  if (!s.Eat('{')) return false;
-  *options = SubmitOptions{};
-  if (tenant != nullptr) tenant->clear();
-  bool seen_priority = false;
-  bool seen_deadline = false;
-  bool seen_tenant = false;
-  bool seen_requests = false;
-  s.SkipSpace();
-  if (s.p >= s.end || *s.p == '}') return false;  // Missing "requests".
-  while (true) {
-    const char* kb;
-    const char* ke;
-    if (!s.RawString(&kb, &ke)) return false;
-    if (!s.Eat(':')) return false;
-    if (SliceEquals(kb, ke, "requests")) {
-      if (seen_requests) return false;
-      seen_requests = true;
-      if (!FastParseRequestItems(s, requests)) return false;
-    } else if (SliceEquals(kb, ke, "priority")) {
-      if (seen_priority) return false;
-      seen_priority = true;
-      const char* vb;
-      const char* ve;
-      if (!s.RawString(&vb, &ve)) return false;
-      if (!ParseTaskPriority(std::string(vb, ve), &options->priority)) {
-        return false;
-      }
-    } else if (SliceEquals(kb, ke, "deadline_ms")) {
-      if (seen_deadline) return false;
-      seen_deadline = true;
-      double ms = 0.0;
-      if (!s.Number(&ms)) return false;
-      if (!(ms > 0.0) || !std::isfinite(ms)) return false;
-      options->deadline = DeadlineAfterMs(ms);
-    } else if (SliceEquals(kb, ke, "tenant")) {
-      if (seen_tenant) return false;
-      seen_tenant = true;
-      const char* vb;
-      const char* ve;
-      if (!s.RawString(&vb, &ve)) return false;
-      if (tenant != nullptr) tenant->assign(vb, ve);
-    } else {
-      return false;
-    }
-    s.SkipSpace();
-    if (s.p < s.end && *s.p == ',') {
-      ++s.p;
-      continue;
-    }
-    if (s.p < s.end && *s.p == '}') {
-      ++s.p;
-      break;
-    }
-    return false;
-  }
-  s.SkipSpace();
-  if (s.p != s.end) return false;  // Trailing characters.
-  return seen_requests;
-}
-
 }  // namespace
-
-bool ParseEstimateWireBatch(const JsonValue& body,
-                            std::vector<EstimateRequest>* requests,
-                            SubmitOptions* options, std::string* error,
-                            std::string* tenant) {
-  if (!body.is_object()) {
-    *error = "request body must be a JSON object";
-    return false;
-  }
-  *options = SubmitOptions{};
-  if (tenant != nullptr) tenant->clear();
-
-  std::string unknown;
-  if (FindUnknownKey(body, {"priority", "deadline_ms", "tenant", "requests"},
-                     &unknown)) {
-    *error = "unknown field \"" + unknown + "\"";
-    return false;
-  }
-
-  if (const JsonValue* tenant_value = body.Find("tenant")) {
-    if (!tenant_value->is_string()) {
-      *error = "\"tenant\" must be a string";
-      return false;
-    }
-    if (tenant != nullptr) *tenant = tenant_value->as_string();
-  }
-  if (const JsonValue* priority = body.Find("priority")) {
-    if (!priority->is_string() ||
-        !ParseTaskPriority(priority->as_string(), &options->priority)) {
-      *error = "\"priority\" must be one of \"urgent\", \"normal\", \"bulk\"";
-      return false;
-    }
-  }
-  if (const JsonValue* deadline = body.Find("deadline_ms")) {
-    const double ms = deadline->is_number() ? deadline->as_number() : -1.0;
-    if (!(ms > 0.0) || !std::isfinite(ms)) {
-      *error = "\"deadline_ms\" must be a positive number";
-      return false;
-    }
-    options->deadline = DeadlineAfterMs(ms);
-  }
-
-  const JsonValue* items = body.Find("requests");
-  if (items == nullptr || !items->is_array() || items->items().empty()) {
-    *error = "\"requests\" must be a non-empty array";
-    return false;
-  }
-  requests->clear();
-  requests->reserve(items->items().size());
-  for (size_t i = 0; i < items->items().size(); ++i) {
-    const JsonValue& item = items->items()[i];
-    const std::string at = "requests[" + std::to_string(i) + "]";
-    if (!item.is_object()) {
-      *error = at + " must be an object";
-      return false;
-    }
-    if (FindUnknownKey(item, {"op", "resource", "features"}, &unknown)) {
-      *error = at + " has unknown field \"" + unknown + "\"";
-      return false;
-    }
-    OpType op;
-    const JsonValue* op_value = item.Find("op");
-    if (op_value == nullptr || !op_value->is_string() ||
-        !ParseOpType(op_value->as_string(), &op)) {
-      *error = at + ".op must be an operator type name (e.g. \"TableScan\")";
-      return false;
-    }
-    Resource resource;
-    const JsonValue* resource_value = item.Find("resource");
-    if (resource_value == nullptr || !resource_value->is_string() ||
-        !ParseResource(resource_value->as_string(), &resource)) {
-      *error = at + ".resource must be \"CPU\" or \"IO\"";
-      return false;
-    }
-    FeatureVector features{};
-    const JsonValue* feature_values = item.Find("features");
-    if (feature_values == nullptr || !feature_values->is_array()) {
-      *error = at + ".features must be an array of numbers";
-      return false;
-    }
-    if (feature_values->items().size() > static_cast<size_t>(kNumFeatures)) {
-      *error = at + ".features has " +
-               std::to_string(feature_values->items().size()) +
-               " entries; at most " + std::to_string(kNumFeatures) +
-               " are defined";
-      return false;
-    }
-    for (size_t f = 0; f < feature_values->items().size(); ++f) {
-      const JsonValue& fv = feature_values->items()[f];
-      if (!fv.is_number()) {
-        *error = at + ".features[" + std::to_string(f) + "] must be a number";
-        return false;
-      }
-      features[f] = fv.as_number();
-    }
-    requests->push_back(EstimateRequest::ForOperator(op, features, resource));
-  }
-  return true;
-}
 
 bool ParseEstimateWireRequest(const std::string& body,
                               std::vector<EstimateRequest>* requests,
                               SubmitOptions* options, std::string* tenant,
                               std::string* error) {
-  // Well-formed estimate traffic decodes in one pass with no JsonValue
-  // tree; the fast scanner refuses anything it is not certain about, and
-  // the tree path below then produces the canonical accept/reject.
-  if (TryFastEstimateParse(body, requests, options, tenant)) return true;
-  JsonValue tree;
-  std::string syntax_error;
-  if (!JsonValue::Parse(body, &tree, &syntax_error)) {
-    *error = "malformed JSON: " + syntax_error;
+  *options = SubmitOptions{};
+  if (tenant != nullptr) tenant->clear();
+  EstimateDecoder decoder{JsonCursor(body), requests, options, tenant, {}, {}};
+  std::string contract_error;
+  if (!decoder.Body(&contract_error)) {
+    *error = "malformed JSON: " + decoder.json.error();
     return false;
   }
-  return ParseEstimateWireBatch(tree, requests, options, error, tenant);
+  if (contract_error.empty()) return true;
+  *error = std::move(contract_error);
+  return false;
 }
 
 std::string FormatEstimateWireResponse(

@@ -44,28 +44,20 @@
 
 namespace resest {
 
-/// Parses the body of POST /v1/estimate. On success fills *requests (every
-/// entry operator-based) and *options; on failure returns false with a
-/// client-actionable message in *error and leaves the outputs unspecified.
-/// A `deadline_ms` is converted to an absolute steady-clock deadline at
-/// parse time, so queueing delay counts against it — same as an in-process
-/// caller computing the deadline before submitting. One past the clock's
-/// range clamps to its latest instant.
-/// When `tenant` is non-null it receives the optional "tenant" field
-/// (cleared when absent); routing/validation is the caller's job.
-bool ParseEstimateWireBatch(const JsonValue& body,
-                            std::vector<EstimateRequest>* requests,
-                            SubmitOptions* options, std::string* error,
-                            std::string* tenant = nullptr);
-
-/// Parses a raw POST /v1/estimate body end to end. Semantically identical
-/// to JsonValue::Parse + ParseEstimateWireBatch (including error messages,
-/// with JSON syntax errors prefixed "malformed JSON: "), but the well-formed
-/// hot shape — objects of priority/deadline_ms/tenant/requests with plain
-/// strings and numbers — is decoded in a single allocation-light pass over
-/// the text without building a JsonValue tree. Any deviation (escapes,
-/// unknown keys, duplicates, type errors, syntax errors) falls back to the
-/// tree parser so accept/reject behavior and diagnostics stay canonical.
+/// Parses a raw POST /v1/estimate body in one strict pass on the JSON
+/// lexer (JsonCursor), with no JsonValue tree. On success fills *requests
+/// (every entry operator-based), *options and, when non-null, *tenant (the
+/// optional "tenant" field, cleared when absent; routing and validation are
+/// the caller's job). On failure returns false with a client-actionable
+/// message in *error and leaves the outputs unspecified:
+///  - a body that is not valid JSON reports "malformed JSON: " plus the
+///    lexer's byte-offset message, whatever else is wrong with it;
+///  - otherwise the first contract error in document order is reported.
+/// A duplicate key means the last one wins. A `deadline_ms` is converted to
+/// an absolute steady-clock deadline at parse time, so queueing delay
+/// counts against it — same as an in-process caller computing the deadline
+/// before submitting. One past the clock's range clamps to its latest
+/// instant.
 bool ParseEstimateWireRequest(const std::string& body,
                               std::vector<EstimateRequest>* requests,
                               SubmitOptions* options, std::string* tenant,

@@ -13,6 +13,44 @@ bool IsTenantIdChar(char c) {
 
 }  // namespace
 
+void SnapshotTenant(const std::string& id, const std::string& model_name,
+                    const ModelRegistry& registry,
+                    const EstimationService& service,
+                    const IncrementalTrainer* trainer, TenantStats* out) {
+  const ServiceStats stats = service.stats();
+  out->tenant = id;
+  out->model_name = model_name;
+  out->model_version = registry.Get(model_name).version;
+  out->requests = stats.requests;
+  out->batches = stats.batches;
+  out->deadline_expired = stats.deadline_expired;
+  out->cache_hits = stats.cache_hits;
+  out->cache_misses = stats.cache_misses;
+  out->cache_evictions = stats.cache_evictions;
+  out->cache_entries = stats.cache_entries;
+  out->cache_capacity =
+      service.options().enable_cache ? service.options().cache_capacity : 0;
+  out->cache_hit_rate = stats.CacheHitRate();
+  // The cache rounds each shard's capacity up, so its entries can exceed
+  // cache_capacity by up to one per shard.
+  out->cache_pressure =
+      out->cache_capacity == 0
+          ? 0.0
+          : std::min(1.0, static_cast<double>(out->cache_entries) /
+                              static_cast<double>(out->cache_capacity));
+  if (trainer != nullptr) {
+    const DurabilityStats d = trainer->durability_stats();
+    out->durable = d.durable;
+    out->obslog_bytes = d.memory_bytes;
+    out->obslog_pending_rows = trainer->TotalPendingRows();
+    out->wal_records = d.wal.records_appended;
+  }
+  for (size_t p = 0; p < kNumTaskPriorities; ++p) {
+    out->lane_p99_ms[p] = stats.priorities[p].ApproxLatencyPercentileMs(0.99);
+    out->lane_mean_ms[p] = stats.priorities[p].MeanLatencyMs();
+  }
+}
+
 bool IsValidTenantId(const std::string& id) {
   if (id.empty() || id.size() > kMaxTenantIdLength) return false;
   // First char alphanumeric: rules out "." / ".." / "-rf"-style names
@@ -56,12 +94,7 @@ TenantManager::Tenant* TenantManager::AddTenant(const std::string& id,
         tenant->service.get(), options_.coalescer);
   }
   if (!options_.data_dir.empty()) {
-    // The default tenant logs at the data-dir root — byte-compatible with
-    // the single-tenant layout, so a pre-tenancy server's WAL recovers
-    // unchanged. Named tenants get their own subdirectory.
-    const std::string dir = id == kDefaultTenant
-                                ? options_.data_dir
-                                : options_.data_dir + "/" + id;
+    const std::string dir = LogDir(id);
     LogBounds bounds = options_.log_bounds;
     if (id != kDefaultTenant && options_.named_obslog_cap_bytes != 0) {
       bounds.memory_cap_bytes = options_.named_obslog_cap_bytes;
@@ -133,15 +166,19 @@ bool TenantManager::DrainAll() {
   for (auto& tenant : tenants_) {
     if (tenant->trainer == nullptr) continue;
     if (!tenant->trainer->Checkpoint(*registry_, tenant->model_name,
-                                     tenant->id == kDefaultTenant
-                                         ? options_.data_dir
-                                         : options_.data_dir + "/" +
-                                               tenant->id)) {
+                                     LogDir(tenant->id))) {
       ok = false;
     }
     if (!tenant->trainer->DrainWal()) ok = false;
   }
   return ok;
+}
+
+std::string TenantManager::LogDir(const std::string& id) const {
+  // The default tenant logs at the data-dir root — byte-compatible with the
+  // single-tenant layout, so a pre-tenancy server's WAL recovers unchanged.
+  return id == kDefaultTenant ? options_.data_dir
+                              : options_.data_dir + "/" + id;
 }
 
 void TenantManager::Heartbeat() {
@@ -168,54 +205,23 @@ void TenantManager::TickLocked(
     std::chrono::steady_clock::time_point now) const {
   for (const auto& tenant_ptr : tenants_) {
     Tenant& tenant = *tenant_ptr;
-    const ServiceStats service = tenant.service->stats();
     TenantStats& s = tenant.snapshot;
-    s.tenant = tenant.id;
-    s.model_name = tenant.model_name;
-    s.model_version = registry_->Get(tenant.model_name).version;
-    s.requests = service.requests;
-    s.batches = service.batches;
-    s.deadline_expired = service.deadline_expired;
+    SnapshotTenant(tenant.id, tenant.model_name, *registry_, *tenant.service,
+                   tenant.trainer.get(), &s);
     // qps over the window since the tenant's previous tick; an idle tenant
     // ages to 0 after one interval, a brand-new one starts there.
     if (tenant.hb_last_tick.time_since_epoch().count() != 0) {
       const double dt =
           std::chrono::duration<double>(now - tenant.hb_last_tick).count();
-      s.qps = dt > 0.0 ? static_cast<double>(service.requests -
+      s.qps = dt > 0.0 ? static_cast<double>(s.requests -
                                              tenant.hb_last_requests) /
                              dt
                        : 0.0;
     } else {
       s.qps = 0.0;
     }
-    tenant.hb_last_requests = service.requests;
+    tenant.hb_last_requests = s.requests;
     tenant.hb_last_tick = now;
-
-    s.cache_hits = service.cache_hits;
-    s.cache_misses = service.cache_misses;
-    s.cache_evictions = service.cache_evictions;
-    s.cache_entries = service.cache_entries;
-    s.cache_capacity = tenant.service->options().enable_cache
-                           ? tenant.service->options().cache_capacity
-                           : 0;
-    s.cache_hit_rate = service.CacheHitRate();
-    s.cache_pressure =
-        s.cache_capacity == 0
-            ? 0.0
-            : std::min(1.0, static_cast<double>(s.cache_entries) /
-                                static_cast<double>(s.cache_capacity));
-    if (tenant.trainer != nullptr) {
-      const DurabilityStats d = tenant.trainer->durability_stats();
-      s.durable = d.durable;
-      s.obslog_bytes = d.memory_bytes;
-      s.obslog_pending_rows = tenant.trainer->TotalPendingRows();
-      s.wal_records = d.wal.records_appended;
-    }
-    for (size_t p = 0; p < kNumTaskPriorities; ++p) {
-      const PriorityLaneStats& lane = service.priorities[p];
-      s.lane_p99_ms[p] = lane.ApproxLatencyPercentileMs(0.99);
-      s.lane_mean_ms[p] = lane.MeanLatencyMs();
-    }
     ++s.heartbeats;
   }
   last_heartbeat_ = now;

@@ -116,6 +116,16 @@ struct TenantStats {
   uint64_t heartbeats = 0;  ///< Sweep ticks this snapshot has seen.
 };
 
+/// Fills every field of *out but qps and heartbeats from one tenant's live
+/// parts: `service` (its stats and cache options), the version `registry`
+/// holds for `model_name`, and `trainer` (null when the tenant has none).
+/// The heartbeat and ServingFrontend's single-tenant /v1/tenants entry both
+/// build their snapshots with it.
+void SnapshotTenant(const std::string& id, const std::string& model_name,
+                    const ModelRegistry& registry,
+                    const EstimationService& service,
+                    const IncrementalTrainer* trainer, TenantStats* out);
+
 class TenantManager {
  public:
   /// One tenant's serving universe. `service` precedes `coalescer` so the
@@ -185,6 +195,9 @@ class TenantManager {
 
  private:
   void TickLocked(std::chrono::steady_clock::time_point now) const;
+  /// Where tenant `id` keeps its observation log: the data-dir root for
+  /// the default tenant, "<data_dir>/<id>" for named ones.
+  std::string LogDir(const std::string& id) const;
 
   ModelRegistry* const registry_;
   ThreadPool* const pool_;

@@ -14,8 +14,11 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <initializer_list>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,6 +113,37 @@ TEST(JsonTest, RejectsExcessiveNestingDepth) {
   std::string ok(kMaxJsonDepth, '[');
   ok += std::string(kMaxJsonDepth, ']');
   EXPECT_TRUE(JsonValue::Parse(ok, &v, &error)) << error;
+}
+
+TEST(JsonTest, CursorSlicesPlainStringsAndDecodesEscapedOnes) {
+  const std::string text = "[\"plain\", \"esc\\u0061ped\", 2.5]";
+  JsonCursor json(text);
+  ASSERT_EQ(json.Peek(), '[');
+  std::vector<std::string_view> strings;
+  std::vector<bool> sliced;
+  double number = 0.0;
+  std::string scratch;
+  ASSERT_TRUE(json.ReadArray([&] {
+    if (json.Peek() != '"') return json.ReadNumber(&number);
+    std::string_view s;
+    if (!json.ReadString(&s, &scratch)) return false;
+    strings.push_back(s);
+    sliced.push_back(s.data() >= text.data() &&
+                     s.data() < text.data() + text.size());
+    return true;
+  })) << json.error();
+  ASSERT_TRUE(json.Finish()) << json.error();
+  ASSERT_EQ(strings.size(), 2u);
+  EXPECT_EQ(strings[0], "plain");
+  EXPECT_TRUE(sliced[0]);
+  EXPECT_EQ(strings[1], "escaped");
+  EXPECT_FALSE(sliced[1]);
+  EXPECT_EQ(number, 2.5);
+
+  JsonCursor bad("[1, tru]");
+  bad.Peek();
+  EXPECT_FALSE(bad.ReadArray([&] { return bad.SkipValue(1); }));
+  EXPECT_EQ(bad.error(), "JSON error at byte 4: bad literal");
 }
 
 TEST(JsonTest, NumberFormattingRoundTripsExactBits) {
@@ -301,103 +335,193 @@ std::string WireBatchBody(const std::vector<EstimateRequest>& requests,
   return body;
 }
 
-TEST(WireApiTest, ParsesBatchWithPriorityAndDeadline) {
-  std::vector<EstimateRequest> original;
-  original.push_back(EstimateRequest::ForOperator(OpType::kHashJoin,
-                                                  TestFeatures(1),
-                                                  Resource::kIo));
-  original.push_back(EstimateRequest::ForOperator(OpType::kTableScan,
-                                                  TestFeatures(2),
-                                                  Resource::kCpu));
-  const JsonValue body =
-      MustParse(WireBatchBody(original, "urgent", /*deadline_ms=*/1000.0));
+/// One /v1/estimate body and everything ParseEstimateWireRequest must make
+/// of it.
+struct WireCase {
+  std::string body;
+  std::string error;  ///< The exact error text; empty when accepted.
+  TaskPriority priority = TaskPriority::kNormal;
+  bool has_deadline = false;
+  std::string tenant;
   std::vector<EstimateRequest> requests;
-  SubmitOptions options;
-  std::string error;
-  ASSERT_TRUE(ParseEstimateWireBatch(body, &requests, &options, &error))
-      << error;
-  EXPECT_EQ(options.priority, TaskPriority::kUrgent);
-  EXPECT_TRUE(options.has_deadline());
-  ASSERT_EQ(requests.size(), 2u);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_TRUE(requests[i].has_features);
-    EXPECT_EQ(requests[i].op, original[i].op);
-    EXPECT_EQ(requests[i].resource, original[i].resource);
-    EXPECT_EQ(std::memcmp(requests[i].features.data(),
-                          original[i].features.data(),
-                          sizeof(FeatureVector)),
-              0);
+};
+
+EstimateRequest Row(OpType op, Resource resource,
+                    std::initializer_list<double> features) {
+  FeatureVector vector{};
+  std::copy(features.begin(), features.end(), vector.begin());
+  return EstimateRequest::ForOperator(op, vector, resource);
+}
+
+std::vector<EstimateRequest> MixedRows(int n, int salt) {
+  std::vector<EstimateRequest> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(EstimateRequest::ForOperator(
+        static_cast<OpType>((i + salt) % kNumOpTypes), TestFeatures(i),
+        i % 2 == 0 ? Resource::kCpu : Resource::kIo));
   }
+  return out;
 }
 
-TEST(WireApiTest, DefaultsToNormalPriorityWithoutDeadline) {
-  const JsonValue body = MustParse(
-      "{\"requests\":[{\"op\":\"Sort\",\"resource\":\"cpu\","
-      "\"features\":[1,2]}]}");
-  std::vector<EstimateRequest> requests;
-  SubmitOptions options;
-  std::string error;
-  ASSERT_TRUE(ParseEstimateWireBatch(body, &requests, &options, &error))
-      << error;
-  EXPECT_EQ(options.priority, TaskPriority::kNormal);
-  EXPECT_FALSE(options.has_deadline());
-  ASSERT_EQ(requests.size(), 1u);
-  // Omitted trailing features are zero.
-  EXPECT_EQ(requests[0].features[0], 1.0);
-  EXPECT_EQ(requests[0].features[1], 2.0);
-  EXPECT_EQ(requests[0].features[2], 0.0);
-}
-
-TEST(WireApiTest, RejectsEachMalformedField) {
-  const struct {
-    const char* body;
-    const char* what;
-  } cases[] = {
-      {"[]", "not an object"},
-      {"{\"requests\": 3}", "requests not array"},
-      {"{\"requests\": []}", "empty requests array"},
-      {"{\"dead_line_ms\": 5, \"requests\": [{\"op\":\"Sort\","
-       "\"resource\":\"CPU\",\"features\":[]}]}",
-       "unknown top-level field"},
-      {"{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\","
-       "\"features\":[],\"weight\":2}]}",
-       "unknown request field"},
-      {"{\"priority\": \"high\", \"requests\": []}", "bad priority"},
-      {"{\"deadline_ms\": -1, \"requests\": []}", "negative deadline"},
-      {"{\"deadline_ms\": \"soon\", \"requests\": []}", "non-number deadline"},
-      {"{\"requests\": [5]}", "non-object request"},
-      {"{\"requests\": [{\"resource\":\"CPU\",\"features\":[]}]}", "no op"},
-      {"{\"requests\": [{\"op\":\"NoSuchOp\",\"resource\":\"CPU\","
-       "\"features\":[]}]}",
-       "bad op"},
-      {"{\"requests\": [{\"op\":\"Sort\",\"resource\":\"RAM\","
-       "\"features\":[]}]}",
-       "bad resource"},
-      {"{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\"}]}",
-       "missing features"},
-      {"{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\","
-       "\"features\":[true]}]}",
-       "non-number feature"},
+/// The pinned /v1/estimate bodies: client hot shapes, escapes, duplicate
+/// keys, far deadlines, and one body per contract or syntax error. Each
+/// rejected body carries exactly one error, so its text is the same under
+/// any error order; clients match on these texts.
+std::vector<WireCase> WireCases() {
+  std::vector<WireCase> cases;
+  const auto accept = [&](std::string body, TaskPriority priority,
+                          bool has_deadline, std::string tenant,
+                          std::vector<EstimateRequest> requests) {
+    cases.push_back({std::move(body), "", priority, has_deadline,
+                     std::move(tenant), std::move(requests)});
   };
-  for (const auto& c : cases) {
-    std::vector<EstimateRequest> requests;
-    SubmitOptions options;
-    std::string error;
-    ASSERT_FALSE(ParseEstimateWireBatch(MustParse(c.body), &requests, &options,
-                                        &error))
-        << c.what;
-    EXPECT_FALSE(error.empty()) << c.what;
+  const auto reject = [&](std::string body, std::string error) {
+    WireCase c;
+    c.body = std::move(body);
+    c.error = std::move(error);
+    cases.push_back(std::move(c));
+  };
+  using P = TaskPriority;
+
+  // Accepted shapes, with awkward-but-valid numbers.
+  const std::vector<EstimateRequest> two = {
+      EstimateRequest::ForOperator(OpType::kHashJoin, TestFeatures(1),
+                                   Resource::kIo),
+      EstimateRequest::ForOperator(OpType::kTableScan, TestFeatures(2),
+                                   Resource::kCpu)};
+  accept(WireBatchBody(two, "urgent", 1000.0), P::kUrgent, true, "", two);
+  accept("{\"requests\":[{\"op\":\"Sort\",\"resource\":\"cpu\","
+         "\"features\":[1,2]}]}",
+         P::kNormal, false, "", {Row(OpType::kSort, Resource::kCpu, {1, 2})});
+  accept(WireBatchBody(MixedRows(1, 0), ""), P::kNormal, false, "",
+         MixedRows(1, 0));
+  accept(WireBatchBody(MixedRows(8, 3), "urgent"), P::kUrgent, false, "",
+         MixedRows(8, 3));
+  accept(WireBatchBody(MixedRows(64, 5), "bulk", 250.0), P::kBulk, true, "",
+         MixedRows(64, 5));
+  accept("{\"tenant\":\"alpha\",\"requests\":[{\"op\":\"Sort\","
+         "\"resource\":\"CPU\",\"features\":[1e-308,2.5e17,-0.0,3]}]}",
+         P::kNormal, false, "alpha",
+         {Row(OpType::kSort, Resource::kCpu, {1e-308, 2.5e17, -0.0, 3})});
+  accept(" { \"priority\" : \"normal\" , \"deadline_ms\" : 1.5e3 , "
+         "\"requests\" : [ { \"op\" : \"HashJoin\" , \"resource\" : \"IO\" , "
+         "\"features\" : [ ] } ] } ",
+         P::kNormal, true, "", {Row(OpType::kHashJoin, Resource::kIo, {})});
+  accept("{\"requests\":[{\"features\":[1,2],\"resource\":\"io\","
+         "\"op\":\"TableScan\"}],\"tenant\":\"t-1.x_2\"}",
+         P::kNormal, false, "t-1.x_2",
+         {Row(OpType::kTableScan, Resource::kIo, {1, 2})});
+  // Duplicate keys (the last wins) and escaped strings.
+  const std::vector<EstimateRequest> sort1 = {
+      Row(OpType::kSort, Resource::kCpu, {1})};
+  accept("{\"priority\":\"bulk\",\"priority\":\"urgent\",\"requests\":"
+         "[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[1]}]}",
+         P::kUrgent, false, "", sort1);
+  accept("{\"tenant\":\"\\u0061lpha\",\"requests\":"
+         "[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[1]}]}",
+         P::kNormal, false, "alpha", sort1);
+  accept("{\"requests\":[{\"op\":\"So\\u0072t\",\"resource\":\"CPU\","
+         "\"features\":[1]}]}",
+         P::kNormal, false, "", sort1);
+  // Far deadlines, plain and behind an escaped tenant.
+  const std::string rows =
+      "\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1,2]}]}";
+  for (const std::string ms : {"1e13", "1e300"}) {
+    const std::vector<EstimateRequest> sort2 = {
+        Row(OpType::kSort, Resource::kCpu, {1, 2})};
+    accept("{\"deadline_ms\":" + ms + "," + rows, P::kNormal, true, "", sort2);
+    accept("{\"tenant\":\"t\\u0031\",\"deadline_ms\":" + ms + "," + rows,
+           P::kNormal, true, "t1", sort2);
   }
-  // Too many features (kNumFeatures + 1 entries).
-  std::string long_features = "{\"requests\":[{\"op\":\"Sort\","
-                              "\"resource\":\"CPU\",\"features\":[0";
+
+  // Syntax errors: the lexer's message, whatever else is wrong.
+  reject("", "malformed JSON: JSON error at byte 0: unexpected end of input");
+  reject("{", "malformed JSON: JSON error at byte 1: expected string");
+  reject("{\"requests\":[}",
+         "malformed JSON: JSON error at byte 13: bad number");
+  reject("nan", "malformed JSON: JSON error at byte 0: bad literal");
+  reject("{\"requests\":[]} trailing",
+         "malformed JSON: JSON error at byte 16: trailing characters");
+  reject("{\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+         "\"features\":[01]}]}",
+         "malformed JSON: JSON error at byte 56: expected ',' or ']' in array");
+  // Contract errors.
+  const std::string ok_item =
+      "[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[]}]";
+  reject("[]", "request body must be a JSON object");
+  reject("3", "request body must be a JSON object");
+  reject("{\"requests\": 3}", "\"requests\" must be a non-empty array");
+  reject("{\"requests\": []}", "\"requests\" must be a non-empty array");
+  reject("{\"dead_line_ms\": 5, \"requests\": " + ok_item + "}",
+         "unknown field \"dead_line_ms\"");
+  reject("{\"priority\": \"high\", \"requests\": []}",
+         "\"priority\" must be one of \"urgent\", \"normal\", \"bulk\"");
+  reject("{\"priority\": 7, \"requests\": []}",
+         "\"priority\" must be one of \"urgent\", \"normal\", \"bulk\"");
+  reject("{\"deadline_ms\": -1, \"requests\": []}",
+         "\"deadline_ms\" must be a positive number");
+  reject("{\"deadline_ms\": \"soon\", \"requests\": []}",
+         "\"deadline_ms\" must be a positive number");
+  reject("{\"tenant\": 9, \"requests\": " + ok_item + "}",
+         "\"tenant\" must be a string");
+  reject("{\"requests\": [5]}", "requests[0] must be an object");
+  reject("{\"requests\": [{\"resource\":\"CPU\",\"features\":[]}]}",
+         "requests[0].op must be an operator type name (e.g. \"TableScan\")");
+  reject("{\"requests\": [{\"op\":\"NoSuchOp\",\"resource\":\"CPU\","
+         "\"features\":[]}]}",
+         "requests[0].op must be an operator type name (e.g. \"TableScan\")");
+  reject("{\"requests\": [{\"op\":\"Sort\",\"resource\":\"RAM\","
+         "\"features\":[]}]}",
+         "requests[0].resource must be \"CPU\" or \"IO\"");
+  reject("{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\"}]}",
+         "requests[0].features must be an array of numbers");
+  reject("{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\","
+         "\"features\":[true]}]}",
+         "requests[0].features[0] must be a number");
+  reject("{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\","
+         "\"features\":[],\"weight\":2}]}",
+         "requests[0] has unknown field \"weight\"");
+  // One feature past kNumFeatures.
+  std::string long_features =
+      "{\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[0";
   for (int i = 0; i < kNumFeatures; ++i) long_features += ",0";
   long_features += "]}]}";
-  std::vector<EstimateRequest> requests;
-  SubmitOptions options;
-  std::string error;
-  ASSERT_FALSE(ParseEstimateWireBatch(MustParse(long_features), &requests,
-                                      &options, &error));
+  reject(long_features, "requests[0].features has " +
+                            std::to_string(kNumFeatures + 1) +
+                            " entries; at most " +
+                            std::to_string(kNumFeatures) + " are defined");
+  return cases;
+}
+
+TEST(WireApiTest, EstimateDecoderPinsEveryWireCase) {
+  for (const WireCase& c : WireCases()) {
+    std::vector<EstimateRequest> requests;
+    SubmitOptions options;
+    std::string tenant = "stale";
+    std::string error;
+    const bool ok =
+        ParseEstimateWireRequest(c.body, &requests, &options, &tenant, &error);
+    ASSERT_EQ(ok, c.error.empty()) << c.body << ": " << error;
+    if (!ok) {
+      EXPECT_EQ(error, c.error) << c.body;
+      continue;
+    }
+    EXPECT_EQ(options.priority, c.priority) << c.body;
+    EXPECT_EQ(options.has_deadline(), c.has_deadline) << c.body;
+    EXPECT_EQ(tenant, c.tenant) << c.body;
+    ASSERT_EQ(requests.size(), c.requests.size()) << c.body;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_TRUE(requests[i].has_features) << c.body;
+      EXPECT_EQ(requests[i].op, c.requests[i].op) << c.body;
+      EXPECT_EQ(requests[i].resource, c.requests[i].resource) << c.body;
+      EXPECT_EQ(std::memcmp(requests[i].features.data(),
+                            c.requests[i].features.data(),
+                            sizeof(FeatureVector)),
+                0)
+          << c.body << " request " << i;
+    }
+  }
 }
 
 TEST(WireApiTest, ResponseBodyRoundTripsStatusAndExactValueBits) {
@@ -443,131 +567,7 @@ TEST(WireApiTest, BatchHttpStatusReflectsUniformFailuresOnly) {
   EXPECT_EQ(EstimateWireHttpStatus(results), 503);
 }
 
-// ---------------------------------------------------------------------------
-// Fast-path wire parser: ParseEstimateWireRequest promises observational
-// equivalence with JsonValue::Parse + ParseEstimateWireBatch — same
-// accept/reject verdict, same error text, same parsed values — whether a
-// body takes the single-pass scanner or falls back to the tree.
-// ---------------------------------------------------------------------------
-
-void ExpectWireParseEquivalent(const std::string& body) {
-  std::vector<EstimateRequest> fast_requests;
-  SubmitOptions fast_options;
-  std::string fast_tenant = "stale";
-  std::string fast_error;
-  const bool fast_ok = ParseEstimateWireRequest(
-      body, &fast_requests, &fast_options, &fast_tenant, &fast_error);
-
-  std::vector<EstimateRequest> tree_requests;
-  SubmitOptions tree_options;
-  std::string tree_tenant = "stale";
-  std::string tree_error;
-  bool tree_ok = false;
-  JsonValue tree;
-  std::string syntax_error;
-  if (!JsonValue::Parse(body, &tree, &syntax_error)) {
-    tree_error = "malformed JSON: " + syntax_error;
-  } else {
-    tree_ok = ParseEstimateWireBatch(tree, &tree_requests, &tree_options,
-                                     &tree_error, &tree_tenant);
-  }
-
-  EXPECT_EQ(fast_ok, tree_ok) << body;
-  if (!fast_ok || !tree_ok) {
-    EXPECT_EQ(fast_error, tree_error) << body;
-    return;
-  }
-  EXPECT_EQ(fast_tenant, tree_tenant) << body;
-  EXPECT_EQ(fast_options.priority, tree_options.priority) << body;
-  // Deadlines are converted to absolute time at parse time, so two parses
-  // differ by the call gap; only presence is comparable.
-  EXPECT_EQ(fast_options.has_deadline(), tree_options.has_deadline()) << body;
-  ASSERT_EQ(fast_requests.size(), tree_requests.size()) << body;
-  for (size_t i = 0; i < fast_requests.size(); ++i) {
-    EXPECT_EQ(fast_requests[i].op, tree_requests[i].op) << body;
-    EXPECT_EQ(fast_requests[i].resource, tree_requests[i].resource) << body;
-    EXPECT_EQ(std::memcmp(fast_requests[i].features.data(),
-                          tree_requests[i].features.data(),
-                          sizeof(FeatureVector)),
-              0)
-        << body << " request " << i;
-  }
-}
-
-TEST(WireApiTest, FastPathParserMatchesTreeParserOnHotShapes) {
-  // The shapes clients actually send: every combination the scanner claims
-  // to handle without the tree, with awkward-but-valid numbers.
-  const auto requests = [](int n, int salt) {
-    std::vector<EstimateRequest> out;
-    for (int i = 0; i < n; ++i) {
-      out.push_back(EstimateRequest::ForOperator(
-          static_cast<OpType>((i + salt) % kNumOpTypes), TestFeatures(i),
-          i % 2 == 0 ? Resource::kCpu : Resource::kIo));
-    }
-    return out;
-  };
-  ExpectWireParseEquivalent(WireBatchBody(requests(1, 0), ""));
-  ExpectWireParseEquivalent(WireBatchBody(requests(8, 3), "urgent"));
-  ExpectWireParseEquivalent(WireBatchBody(requests(64, 5), "bulk", 250.0));
-  ExpectWireParseEquivalent(
-      "{\"tenant\":\"alpha\",\"requests\":[{\"op\":\"Sort\","
-      "\"resource\":\"CPU\",\"features\":[1e-308,2.5e17,-0.0,3]}]}");
-  ExpectWireParseEquivalent(
-      " { \"priority\" : \"normal\" , \"deadline_ms\" : 1.5e3 , "
-      "\"requests\" : [ { \"op\" : \"HashJoin\" , \"resource\" : \"IO\" , "
-      "\"features\" : [ ] } ] } ");
-  ExpectWireParseEquivalent(
-      "{\"requests\":[{\"features\":[1,2],\"resource\":\"io\","
-      "\"op\":\"TableScan\"}],\"tenant\":\"t-1.x_2\"}");
-}
-
-TEST(WireApiTest, FastPathParserMatchesTreeParserOnRejectsAndFallbacks) {
-  const char* bodies[] = {
-      // Syntax errors: identical "malformed JSON: ..." diagnostics.
-      "", "{", "{\"requests\":[}", "nan", "{\"requests\":[]} trailing",
-      "{\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
-      "\"features\":[01]}]}",
-      // Wire-contract errors (tree-path diagnostics, byte for byte).
-      "[]", "3", "{\"requests\": 3}", "{\"requests\": []}",
-      "{\"dead_line_ms\": 5, \"requests\":"
-      " [{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[]}]}",
-      "{\"priority\": \"high\", \"requests\": []}",
-      "{\"priority\": 7, \"requests\": []}",
-      "{\"deadline_ms\": -1, \"requests\": []}",
-      "{\"deadline_ms\": \"soon\", \"requests\": []}",
-      "{\"tenant\": 9, \"requests\":"
-      " [{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[]}]}",
-      "{\"requests\": [5]}",
-      "{\"requests\": [{\"resource\":\"CPU\",\"features\":[]}]}",
-      "{\"requests\": [{\"op\":\"NoSuchOp\",\"resource\":\"CPU\","
-      "\"features\":[]}]}",
-      "{\"requests\": [{\"op\":\"Sort\",\"resource\":\"RAM\","
-      "\"features\":[]}]}",
-      "{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\"}]}",
-      "{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\","
-      "\"features\":[true]}]}",
-      "{\"requests\": [{\"op\":\"Sort\",\"resource\":\"CPU\","
-      "\"features\":[],\"weight\":2}]}",
-      // Valid JSON the scanner bails on (escapes, duplicate keys, unicode):
-      // must still parse identically via the tree.
-      "{\"priority\":\"bulk\",\"priority\":\"urgent\",\"requests\":"
-      "[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[1]}]}",
-      "{\"tenant\":\"\\u0061lpha\",\"requests\":"
-      "[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[1]}]}",
-      "{\"requests\":[{\"op\":\"So\\u0072t\",\"resource\":\"CPU\","
-      "\"features\":[1]}]}",
-  };
-  for (const char* body : bodies) ExpectWireParseEquivalent(body);
-
-  // Feature overflow (kNumFeatures + 1): rejected on both paths.
-  std::string long_features =
-      "{\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\",\"features\":[0";
-  for (int i = 0; i < kNumFeatures; ++i) long_features += ",0";
-  long_features += "]}]}";
-  ExpectWireParseEquivalent(long_features);
-}
-
-TEST(WireApiTest, FarDeadlinesStayInTheFutureOnBothParsePaths) {
+TEST(WireApiTest, FarDeadlinesStayInTheFuture) {
   // 1e13 ms overflows the clock's int64 nanoseconds and 1e300 ms the
   // double-to-int64 conversion: both must clamp to a far deadline rather
   // than wrap into the past and expire the batch on arrival.
@@ -587,12 +587,11 @@ TEST(WireApiTest, FarDeadlinesStayInTheFutureOnBothParsePaths) {
       "\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
       "\"features\":[1,2]}]}";
   for (const std::string ms : {"1e13", "1e300"}) {
-    // The plain body takes the fast scanner; the escaped tenant sends the
-    // second through the tree parser.
-    const std::string fast = "{\"deadline_ms\":" + ms + "," + requests;
-    const std::string tree =
+    // Plain, and behind an escaped tenant (decoded into scratch).
+    const std::string plain = "{\"deadline_ms\":" + ms + "," + requests;
+    const std::string escaped =
         "{\"tenant\":\"t\\u0031\",\"deadline_ms\":" + ms + "," + requests;
-    for (const std::string& body : {fast, tree}) {
+    for (const std::string& body : {plain, escaped}) {
       std::vector<EstimateRequest> parsed;
       SubmitOptions options;
       std::string tenant;
@@ -608,6 +607,171 @@ TEST(WireApiTest, FarDeadlinesStayInTheFutureOnBothParsePaths) {
       EXPECT_EQ(results[0].status, EstimateStatus::kOk) << body;
     }
   }
+}
+
+TEST(WireApiTest, ReportsTheFirstContractErrorInDocumentOrder) {
+  const struct {
+    const char* body;
+    const char* error;
+  } cases[] = {
+      // Two contract errors: the earlier one in the body is reported.
+      {"{\"requests\":[{\"op\":\"Nope\",\"resource\":\"CPU\","
+       "\"features\":[]}],\"bogus\":1}",
+       "requests[0].op must be an operator type name (e.g. \"TableScan\")"},
+      {"{\"bogus\":1,\"requests\":[{\"op\":\"Nope\",\"resource\":\"CPU\","
+       "\"features\":[]}]}",
+       "unknown field \"bogus\""},
+      {"{\"requests\":[{\"resource\":\"RAM\",\"features\":[]}]}",
+       "requests[0].resource must be \"CPU\" or \"IO\""},
+      {"{\"requests\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+       "\"features\":[]},{\"op\":\"Sort\",\"resource\":\"CPU\","
+       "\"features\":[\"x\",true]}]}",
+       "requests[1].features[0] must be a number"},
+      // A duplicate key replaces the earlier occurrence, error included.
+      {"{\"priority\":\"urgent\",\"priority\":\"high\",\"requests\":[]}",
+       "\"priority\" must be one of \"urgent\", \"normal\", \"bulk\""},
+      {"{\"requests\":[5],\"tenant\":3,\"requests\":[{\"op\":\"Sort\","
+       "\"resource\":\"CPU\",\"features\":[]}]}",
+       "\"tenant\" must be a string"},
+      // A syntax error anywhere wins over an earlier contract error.
+      {"{\"bogus\":1,\"requests\":[}",
+       "malformed JSON: JSON error at byte 23: bad number"},
+      {"[1,2", "malformed JSON: JSON error at byte 4: expected ',' or ']' in "
+               "array"},
+  };
+  for (const auto& c : cases) {
+    std::vector<EstimateRequest> requests;
+    SubmitOptions options;
+    std::string tenant;
+    std::string error;
+    EXPECT_FALSE(
+        ParseEstimateWireRequest(c.body, &requests, &options, &tenant, &error))
+        << c.body;
+    EXPECT_EQ(error, c.error) << c.body;
+  }
+
+  // Errors in an earlier duplicate are discarded with it.
+  const std::string body =
+      "{\"deadline_ms\":\"soon\",\"requests\":[{\"op\":\"Nope\"}],"
+      "\"deadline_ms\":5,\"requests\":[{\"op\":\"Nope\",\"op\":\"Sort\","
+      "\"resource\":\"io\",\"features\":[7],\"features\":[1,2]}]}";
+  std::vector<EstimateRequest> requests;
+  SubmitOptions options;
+  std::string tenant;
+  std::string error;
+  ASSERT_TRUE(
+      ParseEstimateWireRequest(body, &requests, &options, &tenant, &error))
+      << error;
+  EXPECT_TRUE(options.has_deadline());
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].op, OpType::kSort);
+  EXPECT_EQ(requests[0].resource, Resource::kIo);
+  EXPECT_EQ(requests[0].features[0], 1.0);
+  EXPECT_EQ(requests[0].features[1], 2.0);
+  EXPECT_EQ(requests[0].features[2], 0.0);
+}
+
+/// Applies one random edit to `body`: flip a bit, overwrite or insert a
+/// byte (often a JSON structural one), delete a byte, or truncate.
+void MutateWireBody(std::mt19937_64* rng, std::string* body) {
+  static const char kTokens[] = "{}[]\":,\\ -+.0123456789eEtfnu\x01\x7f\xff";
+  const auto pick = [&](size_t n) { return static_cast<size_t>((*rng)() % n); };
+  const char byte = pick(2) == 0 ? kTokens[pick(sizeof(kTokens) - 1)]
+                                 : static_cast<char>(pick(256));
+  const size_t op = pick(8);
+  if (op == 7 || body->empty()) {
+    body->resize(pick(body->size() + 1));  // Truncate.
+    return;
+  }
+  const size_t at = pick(body->size());
+  if (op <= 1) {
+    (*body)[at] = static_cast<char>((*body)[at] ^ (1 << pick(8)));
+  } else if (op == 2) {
+    (*body)[at] = byte;
+  } else if (op <= 4) {
+    body->insert(at, 1, byte);
+  } else {
+    body->erase(at, 1);
+  }
+}
+
+TEST(WireApiTest, SeededMutantsNeverCrashAndTheDecoderAgreesWithTheTree) {
+  // Hostile-input check for the wire parsers; the sanitizer builds make any
+  // out-of-bounds read fatal. A fixed seed and budget keep it reproducible.
+  constexpr uint64_t kSeed = 20261018;
+  constexpr int kMutants = 20000;
+  const std::vector<std::string> seeds = {
+      WireBatchBody(MixedRows(3, 1), "urgent", 250.0),
+      WireBatchBody(MixedRows(2, 7), ""),
+      "{\"tenant\":\"a\\u00e9\",\"priority\":\"bulk\",\"priority\":\"normal\","
+      "\"requests\":[{\"op\":\"So\\u0072t\",\"resource\":\"io\","
+      "\"features\":[1e-308,-0.0,2.5E+17,3]},{\"features\":[],\"op\":"
+      "\"HashJoin\",\"resource\":\"CPU\"}]}",
+      "{\"tenant\":\"alpha\",\"observations\":[{\"op\":\"Sort\","
+      "\"resource\":\"CPU\",\"features\":[1,2.5e3,-0.0],\"label\":12.5},"
+      "{\"op\":\"TableScan\",\"resource\":\"IO\",\"features\":[4],"
+      "\"label\":1e2}]}",
+  };
+  std::mt19937_64 rng(kSeed);
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string body = seeds[rng() % seeds.size()];
+    for (int edits = 1 + static_cast<int>(rng() % 3); edits > 0; --edits) {
+      MutateWireBody(&rng, &body);
+    }
+    const std::string shown = ::testing::PrintToString(body);
+
+    JsonValue tree;
+    std::string tree_error;
+    const bool tree_ok = JsonValue::Parse(body, &tree, &tree_error);
+    ASSERT_TRUE(tree_ok || !tree_error.empty()) << shown;
+
+    std::vector<EstimateRequest> requests;
+    SubmitOptions options;
+    std::string tenant;
+    std::string error;
+    const bool ok =
+        ParseEstimateWireRequest(body, &requests, &options, &tenant, &error);
+    ASSERT_TRUE(ok || !error.empty()) << shown;
+    if (!tree_ok) {
+      // Not JSON: both report the lexer's message.
+      ASSERT_FALSE(ok) << shown;
+      ASSERT_EQ(error, "malformed JSON: " + tree_error) << shown;
+      continue;
+    }
+    ASSERT_TRUE(ok || error.rfind("malformed JSON", 0) != 0) << shown;
+
+    std::vector<ObserveWireRow> rows;
+    std::string observe_error;
+    ASSERT_TRUE(ParseObserveWireBatch(tree, &rows, &observe_error) ||
+                !observe_error.empty())
+        << shown;
+    if (!ok) continue;
+
+    // Accepted: the tree holds the same rows (the last "requests" member).
+    ++accepted;
+    const JsonValue* items = tree.Find("requests");
+    ASSERT_NE(items, nullptr) << shown;
+    ASSERT_EQ(items->items().size(), requests.size()) << shown;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      const JsonValue& item = items->items()[r];
+      ASSERT_EQ(item.Find("op")->as_string(), OpTypeName(requests[r].op))
+          << shown;
+      FeatureVector features{};
+      const std::vector<JsonValue>& values = item.Find("features")->items();
+      for (size_t f = 0; f < values.size(); ++f) {
+        features[f] = values[f].as_number();
+      }
+      ASSERT_EQ(std::memcmp(features.data(), requests[r].features.data(),
+                            sizeof(FeatureVector)),
+                0)
+          << shown;
+    }
+    const JsonValue* tenant_value = tree.Find("tenant");
+    ASSERT_EQ(tenant, tenant_value ? tenant_value->as_string() : "") << shown;
+  }
+  // The budget reaches the accept path, not only early rejects.
+  EXPECT_GT(accepted, kMutants / 20);
 }
 
 // ---------------------------------------------------------------------------
@@ -2035,6 +2199,33 @@ TEST_F(ServerFrontendTest, SingleTenantModeRejectsNamedTenants) {
   const HttpResponse tenants = frontend_->Handle(Get("/v1/tenants"));
   ASSERT_EQ(tenants.status, 200);
   EXPECT_NE(tenants.body.find("\"tenant\":\"default\""), std::string::npos);
+}
+
+TEST_F(ServerFrontendTest, SingleTenantCachePressureStaysWithinOne) {
+  // A 100-entry cache over 16 shards rounds each shard up to 7 entries, so
+  // it holds up to 112; the reported pressure still stays in [0, 1].
+  ServiceOptions options;
+  options.cache_capacity = 100;
+  options.cache_shards = 16;
+  EstimationService service(registry_.get(), pool_.get(), options);
+  ServingFrontend frontend(&service, registry_.get(), "default");
+  service.EstimateBatch(OperatorRequests(1000, 0));
+  ASSERT_GT(service.stats().cache_entries, 100u);
+
+  const HttpResponse tenants = frontend.Handle(Get("/v1/tenants"));
+  ASSERT_EQ(tenants.status, 200);
+  const JsonValue body = MustParse(tenants.body);
+  const JsonValue& entry = body.Find("tenants")->items().at(0);
+  EXPECT_EQ(entry.Find("cache")->Find("pressure")->as_number(), 1.0)
+      << tenants.body;
+
+  const HttpResponse metrics = frontend.Handle(Get("/metrics"));
+  const std::string family =
+      "resest_tenant_cache_pressure{tenant=\"default\"} ";
+  const size_t at = metrics.body.find(family);
+  ASSERT_NE(at, std::string::npos) << metrics.body;
+  EXPECT_EQ(std::strtod(metrics.body.c_str() + at + family.size(), nullptr),
+            1.0);
 }
 
 // ---------------------------------------------------------------------------
