@@ -50,6 +50,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -78,6 +80,24 @@ namespace {
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Callback SubmitBatch awaited on a future. Unlike EstimateBatch, the
+/// caller drains none of the batch's chunks, so a batch above
+/// kInlineBatchMaxItems is scheduled by the pool's lanes alone.
+std::future<std::vector<EstimateResult>> SubmitToFuture(
+    const EstimationService& service, std::vector<EstimateRequest> requests,
+    const SubmitOptions& options) {
+  auto promise =
+      std::make_shared<std::promise<std::vector<EstimateResult>>>();
+  std::future<std::vector<EstimateResult>> future = promise->get_future();
+  service.SubmitBatch(
+      std::move(requests),
+      [promise](std::vector<EstimateResult> results) {
+        promise->set_value(std::move(results));
+      },
+      options);
+  return future;
 }
 
 struct Measurement {
@@ -174,7 +194,7 @@ LatencySummary MeasureProbeLatencyUnderBulk(
   // the measured p99 flap between runs.
   constexpr int kWarmupProbes = 16;
   for (int i = 0; i < kWarmupProbes; ++i) {
-    (void)service.SubmitBatch(probe_batch(i), probe_options).get();
+    (void)SubmitToFuture(service, probe_batch(i), probe_options).get();
   }
   LatencySummary summary;
   std::vector<double> latencies_ms;
@@ -183,7 +203,7 @@ LatencySummary MeasureProbeLatencyUnderBulk(
     std::vector<EstimateRequest> batch = probe_batch(i);
     const auto start = std::chrono::steady_clock::now();
     const std::vector<EstimateResult> results =
-        service.SubmitBatch(std::move(batch), probe_options).get();
+        SubmitToFuture(service, std::move(batch), probe_options).get();
     latencies_ms.push_back(1000.0 * SecondsSince(start));
     for (size_t k = 0; k < kProbeBatchRows; ++k) {
       const size_t slot =
@@ -278,7 +298,7 @@ RefitScenario MeasureRefitUnderLoad(
     const size_t slot = i++ % probe_requests.size();
     const auto start = std::chrono::steady_clock::now();
     const EstimateResult result =
-        service.SubmitEstimate(probe_requests[slot], urgent).get();
+        service.EstimateBatch({probe_requests[slot]}, urgent)[0];
     latencies_ms.push_back(1000.0 * SecondsSince(start));
     probes.push_back({slot, result.model_version, result.value, result.ok()});
   }
@@ -577,7 +597,7 @@ TenantScenario MeasureTenantIsolation(ModelRegistry& registry,
   topts.service.model_name = "default";
   topts.service.cache_capacity = 4096;  // bulk flood (2x this) must evict
   topts.service.max_batch_size = 8192;
-  topts.enable_coalescing = false;
+  topts.coalescer.max_rows = 0;
   topts.heartbeat_interval_ms = 0;  // every Heartbeat() call ticks
   TenantManager tenants(&registry, &pool, topts);
   TenantManager::Tenant* bulk_tenant = tenants.AddTenant("bulk-a");
@@ -632,11 +652,10 @@ TenantScenario MeasureTenantIsolation(ModelRegistry& registry,
   // urgent lane itself (first submissions pay one-off queue costs).
   SubmitOptions urgent;
   urgent.priority = TaskPriority::kUrgent;
-  urgent.tenant = "svc-b";
   victim->service->EstimateBatch(probe_requests);
   for (int i = 0; i < 16; ++i) {
     const size_t slot = static_cast<size_t>(i) % probe_requests.size();
-    (void)victim->service->SubmitEstimate(probe_requests[slot], urgent).get();
+    (void)victim->service->EstimateBatch({probe_requests[slot]}, urgent);
   }
 
   const auto RunProbePhase = [&](double* hit_rate) {
@@ -647,7 +666,7 @@ TenantScenario MeasureTenantIsolation(ModelRegistry& registry,
       const size_t slot = static_cast<size_t>(i) % probe_requests.size();
       const auto start = std::chrono::steady_clock::now();
       const EstimateResult result =
-          victim->service->SubmitEstimate(probe_requests[slot], urgent).get();
+          victim->service->EstimateBatch({probe_requests[slot]}, urgent)[0];
       latencies_ms.push_back(1000.0 * SecondsSince(start));
       if (!result.ok() || result.value != probe_serial[slot]) {
         ++scenario.mismatches;
@@ -670,7 +689,6 @@ TenantScenario MeasureTenantIsolation(ModelRegistry& registry,
     std::atomic<bool> stop{false};
     SubmitOptions bulk;
     bulk.priority = TaskPriority::kBulk;
-    bulk.tenant = flooder->id;
     std::vector<std::thread> callers;
     for (int t = 0; t < 2; ++t) {
       callers.emplace_back([&]() {

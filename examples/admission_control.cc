@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "src/baselines/harness.h"
@@ -145,11 +146,20 @@ int main() {
     scan.push_back({&eq.plan, eq.database, Resource::kCpu});
     scan.push_back({&eq.plan, eq.database, Resource::kIo});
   }
+  // Each pass is a callback SubmitBatch, so the scan runs on the pool while
+  // this thread goes on to the probes.
   SubmitOptions bulk;
   bulk.priority = TaskPriority::kBulk;
   std::vector<std::future<std::vector<EstimateResult>>> scan_futures;
   for (int pass = 0; pass < 3; ++pass) {
-    scan_futures.push_back(service.SubmitBatch(scan, bulk));
+    auto done = std::make_shared<std::promise<std::vector<EstimateResult>>>();
+    scan_futures.push_back(done->get_future());
+    service.SubmitBatch(
+        scan,
+        [done](std::vector<EstimateResult> results) {
+          done->set_value(std::move(results));
+        },
+        bulk);
   }
 
   // Admission probes: one kUrgent request per queued query, each with a
@@ -168,21 +178,21 @@ int main() {
   urgent.priority = TaskPriority::kUrgent;
   urgent.deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  std::vector<std::future<EstimateResult>> probe_futures;
-  probe_futures.reserve(probes.size());
+  std::vector<EstimateResult> probe_results;
+  probe_results.reserve(probes.size());
   for (const auto& probe : probes) {
-    probe_futures.push_back(service.SubmitEstimate(probe, urgent));
+    probe_results.push_back(service.EstimateBatch({probe}, urgent)[0]);
   }
 
   // The probes are answered; train the OPT baseline while the pool works
-  // through the scan, then collect probes and (later) the scan.
+  // through the scan, then read the probes and (later) the scan.
   const auto opt = TrainTechnique("OPT", train, FeatureMode::kEstimated);
 
   std::vector<double> scaling_est, opt_est, oracle_est;
   double total_cpu = 0;
   size_t expired_probes = 0;
   for (size_t i = 0; i < queue.size(); ++i) {
-    const EstimateResult result = probe_futures[i].get();
+    const EstimateResult& result = probe_results[i];
     opt_est.push_back(opt->Estimate(queue[i], Resource::kCpu));
     if (result.status == EstimateStatus::kDeadlineExceeded) {
       // Deadline policy: never stall admission on a late estimate — degrade
@@ -272,8 +282,8 @@ int main() {
   std::vector<double> refit_est;
   refit_est.reserve(queue.size());
   for (const auto& eq : queue) {
-    const EstimateResult r =
-        service.Estimate({&eq.plan, eq.database, Resource::kCpu});
+    const EstimateRequest probe{&eq.plan, eq.database, Resource::kCpu};
+    const EstimateResult r = service.EstimateBatch({probe})[0];
     if (!r.ok() || r.model_version != refit.version) {
       std::printf("post-refit probe failed: %s\n",
                   EstimateStatusName(r.status));

@@ -298,7 +298,6 @@ int main(int argc, char** argv) {
   }
   tenant_options.coalescer.max_rows =
       static_cast<size_t>(flags.coalesce_max_rows);
-  tenant_options.enable_coalescing = flags.coalesce_max_rows > 0;
   tenant_options.data_dir = flags.data_dir;
   tenant_options.train.mart.num_trees = flags.trees;
   tenant_options.train.train_threads = threads;
@@ -313,15 +312,15 @@ int main(int argc, char** argv) {
   // Durable logs are opened (and recovered) before the model publish so
   // replayed rows are in place when the baseline attaches.
   {
-    // One line per tenant; the default tenant's names its directory and
-    // any recovery detail.
+    // One line per tenant; the default tenant's names its directory. A
+    // replay that was not clean ends with its reason.
     const auto report_recovery = [&](const std::string& id,
                                      const RecoveryStats& r) {
       if (flags.data_dir.empty()) return;
       const bool named = id != kDefaultTenant;
       const std::string who = named ? "tenant " + id + ": " : "";
       const std::string from = named ? "" : "from " + flags.data_dir + " ";
-      const std::string detail = named || r.clean() ? "" : ": " + r.detail;
+      const std::string detail = r.clean() ? "" : ": " + r.detail;
       std::fprintf(stderr,
                    "resest_server: %srecovered %llu observation rows %s"
                    "(%llu segments, %llu records dropped%s)\n",
@@ -477,13 +476,16 @@ int main(int argc, char** argv) {
   uint64_t total_estimates = 0;
   uint64_t total_batches = 0;
   uint64_t total_expired = 0;
+  uint64_t total_hits = 0;
+  uint64_t total_misses = 0;
   for (const std::string& id : tenants.TenantIds()) {
     const ServiceStats stats = tenants.Resolve(id)->service->stats();
     total_estimates += stats.requests;
     total_batches += stats.batches;
     total_expired += stats.deadline_expired;
+    total_hits += stats.cache_hits;
+    total_misses += stats.cache_misses;
   }
-  const ServiceStats default_stats = default_tenant->service->stats();
   std::printf(
       "resest_server: drained; served %llu http requests, %llu estimates "
       "(%llu batches, %llu expired, cache hit rate %.3f)\n",
@@ -491,7 +493,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total_estimates),
       static_cast<unsigned long long>(total_batches),
       static_cast<unsigned long long>(total_expired),
-      default_stats.CacheHitRate());
+      CacheHitRate(total_hits, total_misses));
   std::fflush(stdout);
   return 0;
 }

@@ -150,7 +150,6 @@ void ServingFrontend::HandleAsync(
     respond(std::move(routing_error));
     return;
   }
-  options.tenant = routed.id;
   auto done = [respond = std::move(respond)](
                   std::vector<EstimateResult> results) {
     respond(JsonResponse(EstimateWireHttpStatus(results),
@@ -179,7 +178,6 @@ HttpResponse ServingFrontend::HandleEstimate(
   if (!RouteTenant(request, body_tenant, &routed, &routing_error)) {
     return routing_error;
   }
-  options.tenant = routed.id;
   const std::vector<EstimateResult> results =
       routed.service->EstimateBatch(requests, options);
   return JsonResponse(EstimateWireHttpStatus(results),

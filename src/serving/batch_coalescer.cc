@@ -60,13 +60,9 @@ void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
   {
     std::lock_guard<std::mutex> lock(mu_);
     Lane& lane = lanes_[index];
-    if (!lane.rows.empty() && (lane.rows.size() + n > max_rows_ ||
-                               lane.tenant != options.tenant)) {
-      // No room, or another tenant's rows are queued — tenants never share
-      // a merged batch.
-      ahead = TakeLocked(index, FlushReason::kFull);
+    if (!lane.rows.empty() && lane.rows.size() + n > max_rows_) {
+      ahead = TakeLocked(index, FlushReason::kFull);  // no room
     }
-    if (lane.entries.empty()) lane.tenant = options.tenant;
     Entry entry;
     entry.done = std::move(done);
     entry.offset = lane.rows.size();
@@ -145,11 +141,9 @@ BatchCoalescer::Batch BatchCoalescer::TakeLocked(size_t index,
   Batch batch;
   batch.rows = std::move(lane.rows);
   batch.entries = std::move(lane.entries);
-  batch.tenant = std::move(lane.tenant);
   batch.lane = index;
   lane.rows.clear();
   lane.entries.clear();
-  lane.tenant.clear();
   ++lane.inflight;
 
   ++stats_.batches;
@@ -176,7 +170,6 @@ BatchCoalescer::Batch BatchCoalescer::TakeLocked(size_t index,
 void BatchCoalescer::Launch(Batch batch) {
   SubmitOptions options;
   options.priority = static_cast<TaskPriority>(batch.lane);
-  options.tenant = std::move(batch.tenant);
   const BatchCoalescer* const outer = tl_submitting;
   tl_submitting = this;
   service_->SubmitBatch(

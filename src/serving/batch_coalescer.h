@@ -28,10 +28,6 @@
 //  - A lane also flushes at once when it reaches max_rows (capped by the
 //    service's max_batch_size, so a merged batch can never be rejected as
 //    oversized when its parts were not), and at drain.
-//  - Submissions never merge across tenants (SubmitOptions::tenant): a lane
-//    holds one tenant's rows; a different tenant's arrival flushes the
-//    queued rows first. Multi-tenant servers run one coalescer per tenant
-//    anyway — this guard keeps isolation even if one is shared.
 //  - kUrgent submissions never wait: they flush their lane immediately on
 //    arrival (merging opportunistically with any urgent rows that raced in),
 //    so an urgent probe cannot be held behind a running batch.
@@ -52,7 +48,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/serving/estimation_service.h"
@@ -137,9 +132,6 @@ class BatchCoalescer {
   struct Lane {
     std::vector<EstimateRequest> rows;
     std::vector<Entry> entries;
-    /// Tenant owning the queued rows (set by the first entry); arrivals
-    /// from any other tenant flush the lane before starting their own.
-    std::string tenant;
     size_t inflight = 0;  ///< Merged batches whose demux has not finished.
   };
   enum class FlushReason { kIdle, kChained, kFull, kUrgent, kDrain };
@@ -147,7 +139,6 @@ class BatchCoalescer {
   struct Batch {
     std::vector<EstimateRequest> rows;
     std::vector<Entry> entries;
-    std::string tenant;
     size_t lane = 0;
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <utility>
 
@@ -21,7 +22,7 @@ uint64_t ElapsedMicros(Clock::time_point start) {
 
 /// Per-thread chunk scratch (see Arena's lifetime rules): every thread that
 /// executes chunks — pool workers, submitters running a small batch inline
-/// or draining their own blocking batch, Estimate() callers — gets one
+/// or draining their own blocking batch — gets one
 /// warmed arena, Reset() at the start of each chunk. After warm-up, chunk
 /// execution never touches the heap.
 Arena& ChunkArena() {
@@ -38,18 +39,6 @@ size_t LatencyBucket(uint64_t latency_us) {
     ++bucket;
   }
   return bucket;
-}
-
-/// A BatchCallback that fulfils `*future`: the future-returning entry
-/// points are the callback flavor with a promise inside.
-BatchCallback PromiseCallback(
-    std::future<std::vector<EstimateResult>>* future) {
-  auto promise =
-      std::make_shared<std::promise<std::vector<EstimateResult>>>();
-  *future = promise->get_future();
-  return [promise](std::vector<EstimateResult> results) {
-    promise->set_value(std::move(results));
-  };
 }
 
 }  // namespace
@@ -126,7 +115,7 @@ EstimationService::EstimationService(const ModelRegistry* registry,
 EstimationService::~EstimationService() {
   // Every pool entry holds an in-flight slot until the pool destroys it;
   // wait for all of them so no in-flight batch outlives the service
-  // (futures are ready and callbacks delivered strictly before an entry
+  // (callbacks are delivered strictly before an entry
   // releases its slot).
   std::unique_lock<std::mutex> lock(inflight_mu_);
   inflight_idle_.wait(lock, [this]() { return inflight_ == 0; });
@@ -375,31 +364,6 @@ void EstimationService::EstimateChunk(const ModelSnapshot& snapshot,
     }
     results[i].value = total;
   }
-}
-
-EstimateResult EstimationService::EstimateWith(
-    const ModelSnapshot& snapshot, const EstimateRequest& request) const {
-  EstimateResult result;
-  if (!snapshot) {
-    result.status = EstimateStatus::kModelNotFound;
-    return result;
-  }
-  Arena& arena = ChunkArena();
-  arena.Reset();
-  EstimateChunk(snapshot, &request, 1, &result, &arena);
-  return result;
-}
-
-EstimateResult EstimationService::Estimate(
-    const EstimateRequest& request) const {
-  const EstimateResult result =
-      EstimateWith(registry_->Get(options_.model_name), request);
-  if (result.ok()) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
 }
 
 std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
@@ -752,8 +716,17 @@ void EstimationService::LaunchBatch(
 std::vector<EstimateResult> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests,
     const SubmitOptions& submit_options) const {
-  std::future<std::vector<EstimateResult>> future;
-  auto state = MakeBatch(requests, PromiseCallback(&future), submit_options);
+  // Shared, not on this frame: the finishing thread may still be inside
+  // set_value after get() below has returned.
+  auto promise =
+      std::make_shared<std::promise<std::vector<EstimateResult>>>();
+  std::future<std::vector<EstimateResult>> future = promise->get_future();
+  auto state = MakeBatch(
+      requests,
+      [promise](std::vector<EstimateResult> results) {
+        promise->set_value(std::move(results));
+      },
+      submit_options);
   LaunchBatch(state);
   // Help drain our own chunks — and only our own: a caller running on a
   // pool worker finishes the whole batch itself if no other worker is free
@@ -763,54 +736,10 @@ std::vector<EstimateResult> EstimationService::EstimateBatch(
   return future.get();
 }
 
-std::future<std::vector<EstimateResult>> EstimationService::SubmitBatch(
-    std::vector<EstimateRequest> requests,
-    const SubmitOptions& submit_options) const {
-  std::future<std::vector<EstimateResult>> future;
-  SubmitBatch(std::move(requests), PromiseCallback(&future), submit_options);
-  return future;
-}
-
 void EstimationService::SubmitBatch(std::vector<EstimateRequest> requests,
                                     BatchCallback done,
                                     const SubmitOptions& submit_options) const {
   LaunchBatch(MakeBatch(std::move(requests), std::move(done), submit_options));
-}
-
-std::future<EstimateResult> EstimationService::SubmitEstimate(
-    const EstimateRequest& request,
-    const SubmitOptions& submit_options) const {
-  auto result = std::make_shared<std::promise<EstimateResult>>();
-  std::future<EstimateResult> future = result->get_future();
-  SubmitBatch(std::vector<EstimateRequest>{request},
-              [result](std::vector<EstimateResult> results) {
-                result->set_value(std::move(results.front()));
-              },
-              submit_options);
-  return future;
-}
-
-void EstimationService::SubmitEstimate(const EstimateRequest& request,
-                                       EstimateCallback done,
-                                       const SubmitOptions& submit_options)
-    const {
-  SubmitBatch(std::vector<EstimateRequest>{request},
-              [done = std::move(done)](std::vector<EstimateResult> results) {
-                done(std::move(results.front()));
-              },
-              submit_options);
-}
-
-std::vector<double> EstimationService::EstimatePipelines(
-    const EstimateRequest& request) const {
-  const ModelSnapshot snapshot = registry_->Get(options_.model_name);
-  if (!snapshot || request.plan == nullptr || request.database == nullptr) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  return snapshot.estimator->EstimatePipelines(*request.plan, *request.database,
-                                               request.resource);
 }
 
 ServiceStats EstimationService::stats() const {

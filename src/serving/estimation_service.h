@@ -33,7 +33,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,8 +52,8 @@ namespace resest {
 ///
 ///  - Plan-based (the in-process default): an annotated plan on a database,
 ///    for a resource; the estimate sums over the plan's operators. `plan`
-///    and `database` must outlive the call (for Submit* flavors: until the
-///    future is ready / the callback has run).
+///    and `database` must outlive the call (for SubmitBatch: until the
+///    callback has run).
 ///  - Operator-based (what the HTTP front end maps wire requests onto, see
 ///    src/server/): `has_features` set, one operator type plus an
 ///    already-extracted feature vector; `plan`/`database` are ignored. The
@@ -90,9 +89,8 @@ struct EstimateResult {
   bool ok() const { return status == EstimateStatus::kOk; }
 };
 
-/// Per-submission scheduling knobs for EstimateBatch/SubmitBatch/
-/// SubmitEstimate. Default-constructed options reproduce the pre-lane
-/// behavior exactly: kNormal priority, no deadline.
+/// Per-submission scheduling knobs for SubmitBatch and EstimateBatch.
+/// Default-constructed options mean kNormal priority and no deadline.
 struct SubmitOptions {
   TaskPriority priority = TaskPriority::kNormal;
   /// Best-effort expiry point (steady clock). Chunks not yet started when
@@ -101,13 +99,6 @@ struct SubmitOptions {
   /// (time_point::max()) means "no deadline".
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Tenant binding (multi-tenant serving, src/serving/tenant_manager.h).
-  /// Empty means the default tenant. The TenantManager routes each request
-  /// to its tenant's own service/cache/logs; the tag travels with the
-  /// submission so shared pipeline stages — the BatchCoalescer in
-  /// particular — never merge work across tenants even when one instance
-  /// is (mis)shared between them.
-  std::string tenant;
 
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
@@ -153,11 +144,9 @@ inline constexpr size_t kInlineBatchMaxItems = 8;
 /// by design — enough for a p99 trend line, cheap enough for the hot path.
 inline constexpr size_t kServiceLatencyBuckets = 20;
 
-/// Per-priority accounting of the batched pipeline (Estimate(), the
-/// synchronous single-request path, bypasses the scheduler and is counted
-/// only in the aggregate ServiceStats fields). Latency is measured per
-/// batch, submission to completion; single-request Submits are one-request
-/// batches, so their batch latency is the request latency.
+/// Per-priority accounting of admitted batches. Latency is measured per
+/// batch, submission to completion; a one-request batch's latency is the
+/// request latency.
 struct PriorityLaneStats {
   uint64_t batches = 0;   ///< Batches finished at this priority.
   uint64_t requests = 0;  ///< Requests completed OK.
@@ -206,15 +195,15 @@ struct ServiceStats {
 /// Callbacks must not throw; an escaping exception is swallowed so batch
 /// completion and service shutdown can never be derailed by a callback.
 using BatchCallback = std::function<void(std::vector<EstimateResult>)>;
-/// Single-request flavor of BatchCallback; same delivery guarantees.
-using EstimateCallback = std::function<void(EstimateResult)>;
 
 /// Thread-safe estimation front end. All methods may be called concurrently;
 /// the registry and pool must outlive the service. The destructor blocks
-/// until every submitted batch has completed (callbacks delivered, futures
-/// ready), so in-flight work never touches a dead service.
+/// until every submitted batch has completed (callbacks delivered), so
+/// in-flight work never touches a dead service.
 ///
-/// Reentrancy: all entry points, including the blocking EstimateBatch, are
+/// Two ways in: the callback SubmitBatch and the blocking EstimateBatch.
+///
+/// Reentrancy: both entry points, including the blocking EstimateBatch, are
 /// safe to call from tasks running on the service's own pool, and from a
 /// completion callback (a small batch completes inside the submit call, so
 /// a caller must not hold a lock its callback takes). Batches are
@@ -225,10 +214,10 @@ using EstimateCallback = std::function<void(EstimateResult)>;
 ///
 /// Small batches (at most kInlineBatchMaxItems work items, counted after
 /// identity dedup) bypass all of the below: whatever their priority, they
-/// run as one chunk on the submitting thread and complete (future ready,
-/// callback run) before the submit call returns — no pool hand-off. A caller
-/// that serves many clients on one thread (an HTTP I/O loop) therefore
-/// delays its next client by each small batch's own execution time.
+/// run as one chunk on the submitting thread and complete (callback run)
+/// before the submit call returns — no pool hand-off. A caller that serves
+/// many clients on one thread (an HTTP I/O loop) therefore delays its next
+/// client by each small batch's own execution time.
 ///
 /// Priority: a larger batch is one steppable entry on its priority's pool
 /// lane (ThreadPool::SubmitSteps). A worker that picks it runs one chunk
@@ -245,9 +234,6 @@ class EstimationService {
   EstimationService(const EstimationService&) = delete;
   EstimationService& operator=(const EstimationService&) = delete;
 
-  /// Estimates one plan on the calling thread (no pool hop).
-  EstimateResult Estimate(const EstimateRequest& request) const;
-
   /// Estimates a batch, fanned out across the pool in chunks; blocks until
   /// every result is ready. The whole batch is served from one model
   /// snapshot, so all results carry the same model_version even if a
@@ -255,44 +241,22 @@ class EstimationService {
   /// order. Empty input returns an empty vector; oversized input returns
   /// kBatchTooLarge for every request; a batch whose deadline has already
   /// passed returns kDeadlineExceeded for every request without executing.
-  /// Default submit options reproduce the pre-lane behavior: kNormal
-  /// priority, no deadline (same for the Submit* entry points below).
-  /// A batch of at most kInlineBatchMaxItems work items runs as one chunk
-  /// on the calling thread.
+  /// The calling thread drains the batch's own chunks beside the pool; a
+  /// batch of at most kInlineBatchMaxItems work items runs as one chunk on
+  /// it.
   std::vector<EstimateResult> EstimateBatch(
       const std::vector<EstimateRequest>& requests,
       const SubmitOptions& submit_options = {}) const;
 
-  /// Asynchronous batch submission: returns a future that becomes ready when
-  /// the last chunk completes. A batch of at most kInlineBatchMaxItems work
-  /// items is estimated on the calling thread and its future is ready when
-  /// this returns; a larger one is fanned out to the pool and this returns
-  /// without waiting for it. Same semantics as EstimateBatch otherwise. The
-  /// service copies `requests`; the pointed-to plans and databases must
-  /// outlive completion.
-  std::future<std::vector<EstimateResult>> SubmitBatch(
-      std::vector<EstimateRequest> requests,
-      const SubmitOptions& submit_options = {}) const;
-
-  /// Callback flavor: `done` is invoked exactly once. For a small batch (at
-  /// most kInlineBatchMaxItems work items) or a degenerate one it runs on
-  /// the submitting thread before this call returns.
+  /// Asynchronous batch submission: `done` is invoked exactly once, with
+  /// the results EstimateBatch would return. A batch of at most
+  /// kInlineBatchMaxItems work items, or a degenerate one, completes on the
+  /// calling thread before this returns; a larger one is fanned out to the
+  /// pool and this returns without waiting for it. The service copies
+  /// `requests`; the pointed-to plans and databases must outlive
+  /// completion.
   void SubmitBatch(std::vector<EstimateRequest> requests, BatchCallback done,
                    const SubmitOptions& submit_options = {}) const;
-
-  /// Single-request submission: a one-item batch, so it is estimated on the
-  /// calling thread and completes (future ready, callback run) before this
-  /// returns.
-  std::future<EstimateResult> SubmitEstimate(
-      const EstimateRequest& request,
-      const SubmitOptions& submit_options = {}) const;
-  void SubmitEstimate(const EstimateRequest& request, EstimateCallback done,
-                      const SubmitOptions& submit_options = {}) const;
-
-  /// Per-pipeline estimates for one plan (scheduling granularity). An empty
-  /// vector signals failure (no active model, or null plan/database) —
-  /// served plans always have at least one pipeline. Not memoized.
-  std::vector<double> EstimatePipelines(const EstimateRequest& request) const;
 
   /// Scopes the cache work of an upcoming (or just-performed) hot-swap to a
   /// delta publish: `version` is the newly published registry version and
@@ -335,8 +299,6 @@ class EstimationService {
  private:
   struct BatchState;
 
-  EstimateResult EstimateWith(const ModelSnapshot& snapshot,
-                              const EstimateRequest& request) const;
   /// The grouped compiled-forest fast path for `count` consecutive requests
   /// (one scheduler chunk — the unit one thread serves). Every operator of
   /// every request in the chunk that misses the cache (all of them when the
@@ -344,10 +306,10 @@ class EstimationService {
   /// bitwise (self-similar plans and repeated probes collapse to one
   /// prediction), and predicted in one batched sweep per group; each
   /// request's estimate is then summed in the canonical pre-order traversal
-  /// order. Bit-identical to serial EstimateWith per request: batched
-  /// predictions equal their scalar counterparts byte for byte, cache hits
-  /// return memoized doubles, and each request's summation order is
-  /// unchanged — only *which requests share a sweep* differs, and
+  /// order. Bit-identical to serial ResourceEstimator::EstimateQuery per
+  /// request: batched predictions equal their scalar counterparts byte for
+  /// byte, cache hits return memoized doubles, and each request's summation
+  /// order is unchanged — only *which requests share a sweep* differs, and
   /// predictions are row-independent. All scratch (term values, extracted
   /// features, miss records, dedup tables, packing matrices) comes from
   /// `scratch`; the caller Reset()s it between chunks, so the steady-state

@@ -89,7 +89,7 @@ TenantManager::Tenant* TenantManager::AddTenant(const std::string& id,
   service_options.model_name = tenant->model_name;
   tenant->service = std::make_unique<EstimationService>(registry_, pool_,
                                                         service_options);
-  if (options_.enable_coalescing) {
+  if (options_.coalescer.max_rows > 0) {
     tenant->coalescer = std::make_unique<BatchCoalescer>(
         tenant->service.get(), options_.coalescer);
   }

@@ -67,9 +67,9 @@ struct TenantOptions {
   /// serves "<model_name>@<t>", the default tenant serves it verbatim) and
   /// cache_capacity/cache_shards size each tenant's own cache region.
   ServiceOptions service;
-  /// Per-tenant coalescer; disabled entirely when enable_coalescing is off.
+  /// Per-tenant coalescer; max_rows = 0 builds none, so every request goes
+  /// straight to the tenant's service.
   CoalescerOptions coalescer;
-  bool enable_coalescing = true;
   /// Durable observation logs root; empty = no trainers (estimate-only
   /// tenants). Tenant t logs under "<data_dir>/<t>" (default tenant: the
   /// root itself, matching single-tenant deployments).

@@ -41,6 +41,7 @@
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
 #include "src/storage/recovery.h"
+#include "src/storage/segment.h"
 #include "src/storage/wal.h"
 #include "src/workload/runner.h"
 #include "src/workload/schemas.h"
@@ -2091,7 +2092,7 @@ TEST_F(ServerFrontendTest, CoalesceWindowFlagOnlyAcceptsZeroAsCoalescingOff) {
 TEST_F(ServerFrontendTest, TenantRoutingSelectsConflictsAndRejects) {
   TenantOptions tenant_options;
   tenant_options.service.model_name = "default";
-  tenant_options.enable_coalescing = false;
+  tenant_options.coalescer.max_rows = 0;
   TenantManager manager(registry_.get(), pool_.get(), tenant_options);
   std::string terror;
   ASSERT_NE(manager.AddTenant(kDefaultTenant, &terror), nullptr) << terror;
@@ -2233,6 +2234,56 @@ TEST_F(ServerFrontendTest, SingleTenantCachePressureStaysWithinOne) {
 // accepted over /v1/observe before the signal survives on disk.
 // ---------------------------------------------------------------------------
 
+/// A resest_server child process whose stdout and stderr share `out`.
+struct ServerProcess {
+  pid_t pid = -1;
+  FILE* out = nullptr;
+  unsigned port = 0;  ///< 0 when no listening line was read.
+  /// Lines printed before the listening line (recovery summaries).
+  std::vector<std::string> startup;
+};
+
+/// Starts `bin` with `flags` and reads its output through the listening
+/// line.
+ServerProcess StartServer(const char* bin,
+                          const std::vector<std::string>& flags) {
+  // argv is built before fork(): the child of a threaded process may only
+  // make async-signal-safe calls before exec.
+  std::vector<char*> argv{const_cast<char*>(bin)};
+  for (const std::string& flag : flags) {
+    argv.push_back(const_cast<char*>(flag.c_str()));
+  }
+  argv.push_back(nullptr);
+  ServerProcess server;
+  int out_pipe[2];
+  if (::pipe(out_pipe) != 0) return server;
+  server.pid = ::fork();
+  if (server.pid == 0) {
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::dup2(out_pipe[1], STDERR_FILENO);
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    ::execv(bin, argv.data());
+    _exit(127);
+  }
+  ::close(out_pipe[1]);
+  if (server.pid < 0) {
+    ::close(out_pipe[0]);
+    return server;
+  }
+  server.out = ::fdopen(out_pipe[0], "r");
+  char line[1024];
+  while (server.out != nullptr &&
+         std::fgets(line, sizeof(line), server.out) != nullptr) {
+    if (std::sscanf(line, "resest_server listening on 127.0.0.1:%u",
+                    &server.port) == 1) {
+      break;
+    }
+    server.startup.emplace_back(line);
+  }
+  return server;
+}
+
 TEST_F(ServerFrontendTest, SigtermDrainSealsWalWithZeroLostObservations) {
   const char* bin = std::getenv("RESEST_SERVER_BIN");
   if (bin == nullptr || bin[0] == '\0') {
@@ -2243,36 +2294,16 @@ TEST_F(ServerFrontendTest, SigtermDrainSealsWalWithZeroLostObservations) {
   std::filesystem::remove_all(data_dir);
   std::filesystem::create_directories(data_dir);
 
-  int out_pipe[2];
-  ASSERT_EQ(::pipe(out_pipe), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    const std::string model_flag = "--model=" + *model_path_;
-    const std::string data_flag = "--data-dir=" + data_dir.string();
-    ::execl(bin, bin, "--port=0", "--threads=2", model_flag.c_str(),
-            "--model-name=default", data_flag.c_str(),
-            static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  ::close(out_pipe[1]);
-
-  // With --data-dir the server prints its recovery summary before the
-  // listening line — scan stdout for the port announcement.
-  FILE* out = ::fdopen(out_pipe[0], "r");
+  const ServerProcess server = StartServer(
+      bin, {"--port=0", "--threads=2", "--model=" + *model_path_,
+            "--model-name=default", "--data-dir=" + data_dir.string()});
+  ASSERT_GT(server.pid, 0);
+  FILE* out = server.out;
   ASSERT_NE(out, nullptr);
-  char line[256] = {0};
-  unsigned port = 0;
-  while (std::fgets(line, sizeof(line), out) != nullptr) {
-    if (std::sscanf(line, "resest_server listening on 127.0.0.1:%u", &port) ==
-        1) {
-      break;
-    }
-  }
+  const pid_t pid = server.pid;
+  const unsigned port = server.port;
   ASSERT_GT(port, 0u);
+  char line[1024] = {0};
 
   // POST a deterministic batch; every accepted row must survive the drain.
   constexpr int kRows = 37;
@@ -2330,6 +2361,109 @@ TEST_F(ServerFrontendTest, SigtermDrainSealsWalWithZeroLostObservations) {
     EXPECT_EQ(rows[i].features[0], static_cast<double>(i)) << i;
     EXPECT_EQ(rows[i].label, i * 0.25) << i;
   }
+  std::filesystem::remove_all(data_dir);
+}
+
+TEST_F(ServerFrontendTest,
+       NamedTenantRecoveryDetailAndDrainHitRateOverAllTenants) {
+  // Two lines of the server's own log: a named tenant's dirty WAL replay
+  // must say why, and the drain summary's cache hit rate must cover every
+  // tenant, as its estimate and batch counts do.
+  const char* bin = std::getenv("RESEST_SERVER_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "RESEST_SERVER_BIN not set (ctest sets it)";
+  }
+  const auto data_dir =
+      std::filesystem::temp_directory_path() / "resest_server_tenant_drain";
+  std::filesystem::remove_all(data_dir);
+  const std::string tenant_dir = (data_dir / "a").string();
+  const std::string log_name = "default@a";  // tenant a's model name
+
+  // A valid WAL for tenant a, then torn bytes after its last record.
+  {
+    WriteAheadLog wal(tenant_dir, log_name);
+    ASSERT_TRUE(wal.Open());
+    for (int i = 0; i < 3; ++i) {
+      WalRecord record;
+      record.type = WalRecordType::kObservation;
+      record.observation.op = OpType::kTableScan;
+      record.observation.resource = Resource::kCpu;
+      record.observation.label = 1.0 + i;
+      record.observation.features[0] = static_cast<double>(i);
+      ASSERT_TRUE(wal.Append(record));
+    }
+  }
+  {
+    FILE* active = std::fopen(ActiveWalPath(tenant_dir, log_name).c_str(),
+                              "ab");
+    ASSERT_NE(active, nullptr);
+    const unsigned char torn[] = {0x40, 0x00, 0x00, 0x00, 0x12, 0x34};
+    ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), active), sizeof(torn));
+    ASSERT_EQ(std::fclose(active), 0);
+  }
+  RecoveryStats expected;
+  ASSERT_TRUE(ReplayObservationLog(
+      tenant_dir, log_name, [](const WalRecord&) {}, &expected));
+  ASSERT_FALSE(expected.clean());
+  ASSERT_FALSE(expected.detail.empty());
+
+  const ServerProcess server = StartServer(
+      bin, {"--port=0", "--threads=2", "--model=" + *model_path_,
+            "--model-name=default", "--data-dir=" + data_dir.string(),
+            "--tenants=a"});
+  ASSERT_GT(server.pid, 0);
+  ASSERT_NE(server.out, nullptr);
+  ASSERT_GT(server.port, 0u);
+  const std::string recovery_prefix = "resest_server: tenant a: recovered";
+  const std::string recovery_end = ": " + expected.detail + ")\n";
+  bool recovery_line = false;
+  for (const std::string& line : server.startup) {
+    if (line.compare(0, recovery_prefix.size(), recovery_prefix) != 0) {
+      continue;
+    }
+    recovery_line = true;
+    ASSERT_GE(line.size(), recovery_end.size()) << line;
+    EXPECT_EQ(line.substr(line.size() - recovery_end.size()), recovery_end)
+        << line;
+  }
+  EXPECT_TRUE(recovery_line) << "no recovery line for tenant a";
+
+  // The same one-row estimate twice to tenant a: one cache miss, then one
+  // hit. The row's slot must be trained, or it bypasses the cache.
+  OpType op = OpType::kTableScan;
+  while (estimator_->ModelsFor(op, Resource::kCpu) == nullptr) {
+    op = static_cast<OpType>(static_cast<int>(op) + 1);
+    ASSERT_LT(static_cast<int>(op), kNumOpTypes);
+  }
+  const std::string row = WireBatchBody(
+      {EstimateRequest::ForOperator(op, TestFeatures(5), Resource::kCpu)},
+      "");
+  const std::string body = "{\"tenant\":\"a\"," + row.substr(1);
+  HttpClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", static_cast<uint16_t>(server.port),
+                             &error))
+      << error;
+  for (int i = 0; i < 2; ++i) {
+    HttpClientResponse response;
+    ASSERT_TRUE(client.Post("/v1/estimate", body, &response, &error))
+        << error;
+    ASSERT_EQ(response.status, 200) << response.body;
+  }
+
+  ASSERT_EQ(::kill(server.pid, SIGTERM), 0);
+  std::string drained;
+  char line[1024];
+  while (std::fgets(line, sizeof(line), server.out) != nullptr) {
+    if (std::strncmp(line, "resest_server: drained", 22) == 0) drained = line;
+  }
+  std::fclose(server.out);
+  int status = 0;
+  ASSERT_EQ(::waitpid(server.pid, &status, 0), server.pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_NE(drained.find("cache hit rate 0.500)"), std::string::npos)
+      << drained;
   std::filesystem::remove_all(data_dir);
 }
 

@@ -322,6 +322,24 @@ Database* ServingTest::db_ = nullptr;
 std::vector<ExecutedQuery>* ServingTest::workload_ = nullptr;
 ResourceEstimator* ServingTest::estimator_ = nullptr;
 
+/// Callback SubmitBatch awaited on a future. Unlike EstimateBatch, the
+/// caller drains none of the batch's chunks, so a batch above
+/// kInlineBatchMaxItems stays pool-bound.
+std::future<std::vector<EstimateResult>> SubmitToFuture(
+    const EstimationService& service, std::vector<EstimateRequest> requests,
+    const SubmitOptions& options = {}) {
+  auto promise =
+      std::make_shared<std::promise<std::vector<EstimateResult>>>();
+  std::future<std::vector<EstimateResult>> future = promise->get_future();
+  service.SubmitBatch(
+      std::move(requests),
+      [promise](std::vector<EstimateResult> results) {
+        promise->set_value(std::move(results));
+      },
+      options);
+  return future;
+}
+
 // ---------------------------------------------------------------------------
 // ModelRegistry
 // ---------------------------------------------------------------------------
@@ -484,7 +502,7 @@ TEST_F(ServingTest, ConcurrentCallersSmokeTest) {
           }
         } else {
           for (size_t i = 0; i < requests.size(); ++i) {
-            const auto r = service.Estimate(requests[i]);
+            const auto r = service.EstimateBatch({requests[i]})[0];
             if (!r.ok() || r.value != serial[i]) mismatches.fetch_add(1);
           }
         }
@@ -531,12 +549,13 @@ TEST_F(ServingTest, MissingModelAndInvalidRequest) {
   EstimationService service(&registry, &pool);
 
   EstimateRequest req = QueueRequests(Resource::kCpu)[0];
-  EXPECT_EQ(service.Estimate(req).status, EstimateStatus::kModelNotFound);
+  EXPECT_EQ(service.EstimateBatch({req})[0].status,
+            EstimateStatus::kModelNotFound);
 
   registry.Publish("default", SharedEstimator());
   EstimateRequest null_plan = req;
   null_plan.plan = nullptr;
-  EXPECT_EQ(service.Estimate(null_plan).status,
+  EXPECT_EQ(service.EstimateBatch({null_plan})[0].status,
             EstimateStatus::kInvalidRequest);
   // A batch mixing valid and invalid requests fails only the invalid slots.
   const auto results = service.EstimateBatch({req, null_plan, req});
@@ -571,18 +590,17 @@ TEST_F(ServingTest, BatchServedFromSingleSnapshotDuringHotSwap) {
 }
 
 // ---------------------------------------------------------------------------
-// Async submission (SubmitBatch / SubmitEstimate)
+// Async submission (callback SubmitBatch)
 // ---------------------------------------------------------------------------
 
-TEST_F(ServingTest, SubmitBatchFutureBitIdenticalToSerial) {
+TEST_F(ServingTest, SubmitBatchBitIdenticalToSerial) {
   ModelRegistry registry;
   registry.Publish("default", SharedEstimator());
   ThreadPool pool(4);
   EstimationService service(&registry, &pool);
 
   const auto requests = QueueRequests(Resource::kCpu);
-  auto future = service.SubmitBatch(requests);
-  const auto results = future.get();
+  const auto results = SubmitToFuture(service, requests).get();
   ASSERT_EQ(results.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(results[i].ok());
@@ -628,9 +646,9 @@ TEST_F(ServingTest, NestedSubmitBatchFromPoolTaskCompletes) {
 
   const auto requests = QueueRequests(Resource::kIo);
   // A pool task composes with the service without a second pool: it submits
-  // a nested batch and returns the future instead of blocking.
+  // a nested batch and returns a future instead of blocking.
   auto nested = pool.Submit([&service, &requests]() {
-    return service.SubmitBatch(requests);
+    return SubmitToFuture(service, requests);
   });
   auto results_future = nested.get();
   ASSERT_EQ(results_future.wait_for(std::chrono::seconds(60)),
@@ -645,21 +663,33 @@ TEST_F(ServingTest, BatchCallbackDeliveredExactlyOnce) {
   registry.Publish("default", SharedEstimator());
   ThreadPool pool(4);
 
-  const auto requests = QueueRequests(Resource::kCpu);
-  std::atomic<int> calls{0};
-  std::atomic<size_t> delivered_size{0};
-  {
-    EstimationService service(&registry, &pool);
-    service.SubmitBatch(requests,
-                        [&](std::vector<EstimateResult> results) {
-                          calls.fetch_add(1);
-                          delivered_size.store(results.size());
-                        });
-    // ~EstimationService waits for the in-flight batch: the callback has
-    // run exactly once by the time the destructor returns.
+  // The whole queue goes to the pool; a one-request batch runs inline.
+  const auto queue = QueueRequests(Resource::kCpu);
+  for (const auto& requests :
+       {queue, std::vector<EstimateRequest>{queue[0]}}) {
+    SCOPED_TRACE(requests.size());
+    std::atomic<int> calls{0};
+    std::vector<EstimateResult> delivered;
+    {
+      EstimationService service(&registry, &pool);
+      service.SubmitBatch(requests, [&](std::vector<EstimateResult> results) {
+        calls.fetch_add(1);
+        delivered = std::move(results);
+      });
+      // ~EstimationService waits for the in-flight batch: the callback has
+      // run exactly once by the time the destructor returns.
+    }
+    EXPECT_EQ(calls.load(), 1);
+    ASSERT_EQ(delivered.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(delivered[i].ok());
+      EXPECT_EQ(delivered[i].value,
+                estimator_->EstimateQuery(*requests[i].plan,
+                                          *requests[i].database,
+                                          Resource::kCpu))
+          << "request " << i;
+    }
   }
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(delivered_size.load(), requests.size());
 }
 
 TEST_F(ServingTest, DegenerateBatchesStillDeliverExactlyOnce) {
@@ -688,8 +718,7 @@ TEST_F(ServingTest, DegenerateBatchesStillDeliverExactlyOnce) {
                       });
   EXPECT_EQ(oversized_calls, 1);
 
-  auto missing_model = service.SubmitBatch({req, req});
-  const auto results = missing_model.get();
+  const auto results = SubmitToFuture(service, {req, req}).get();
   ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) {
     EXPECT_EQ(r.status, EstimateStatus::kModelNotFound);
@@ -706,7 +735,7 @@ TEST_F(ServingTest, DrainOnDestroyCompletesInFlightBatches) {
   {
     EstimationService service(&registry, &pool);
     for (int i = 0; i < 8; ++i) {
-      futures.push_back(service.SubmitBatch(requests));
+      futures.push_back(SubmitToFuture(service, requests));
     }
   }  // destructor must wait: every future is ready afterwards
   for (auto& f : futures) {
@@ -715,30 +744,6 @@ TEST_F(ServingTest, DrainOnDestroyCompletesInFlightBatches) {
     ASSERT_EQ(results.size(), requests.size());
     for (const auto& r : results) EXPECT_TRUE(r.ok());
   }
-}
-
-TEST_F(ServingTest, SubmitEstimateFutureAndCallback) {
-  ModelRegistry registry;
-  registry.Publish("default", SharedEstimator());
-  ThreadPool pool(2);
-  EstimationService service(&registry, &pool);
-
-  const EstimateRequest req = QueueRequests(Resource::kCpu)[0];
-  const double expected =
-      estimator_->EstimateQuery(*req.plan, *req.database, Resource::kCpu);
-
-  auto future = service.SubmitEstimate(req);
-  const EstimateResult via_future = future.get();
-  ASSERT_TRUE(via_future.ok());
-  EXPECT_EQ(via_future.value, expected);
-
-  std::promise<EstimateResult> delivered;
-  service.SubmitEstimate(req, [&delivered](EstimateResult r) {
-    delivered.set_value(r);
-  });
-  const EstimateResult via_callback = delivered.get_future().get();
-  ASSERT_TRUE(via_callback.ok());
-  EXPECT_EQ(via_callback.value, expected);
 }
 
 TEST_F(ServingTest, ConcurrentMixedSubmittersAgreeWithSerial) {
@@ -761,7 +766,7 @@ TEST_F(ServingTest, ConcurrentMixedSubmittersAgreeWithSerial) {
       for (int round = 0; round < 2; ++round) {
         std::vector<EstimateResult> results;
         if ((t + round) % 2 == 0) {
-          results = service.SubmitBatch(requests).get();
+          results = SubmitToFuture(service, requests).get();
         } else {
           results = service.EstimateBatch(requests);
         }
@@ -903,8 +908,8 @@ TEST_F(ServingTest, PoolBoundBatchOfAnotherServiceIsNotStarved) {
   };
   SubmitOptions bulk;
   bulk.priority = TaskPriority::kBulk;
-  auto a_first = service_a.SubmitBatch(slice(0), bulk);
-  auto a_second = service_a.SubmitBatch(slice(1), bulk);
+  auto a_first = SubmitToFuture(service_a, slice(0), bulk);
+  auto a_second = SubmitToFuture(service_a, slice(1), bulk);
   a_claimed.get_future().wait();  // the worker is inside A's first batch
   std::promise<void> b_done;
   service_b.SubmitBatch(slice(2), [&](std::vector<EstimateResult> results) {
@@ -1001,7 +1006,7 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
                                               all.begin() + kRequests);
   SubmitOptions opts;
   opts.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
-  auto future = service.SubmitBatch(requests, opts);
+  auto future = SubmitToFuture(service, requests, opts);
 
   first_chunk_claimed.get_future().wait();
   std::this_thread::sleep_until(opts.deadline + std::chrono::milliseconds(100));
@@ -1031,7 +1036,7 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
-TEST_F(ServingTest, DeadlineStatusPropagatesThroughFutureAndCallback) {
+TEST_F(ServingTest, DeadlineStatusPropagatesThroughBlockingAndCallback) {
   ModelRegistry registry;
   registry.Publish("default", SharedEstimator());
   ThreadPool pool(2);
@@ -1043,26 +1048,23 @@ TEST_F(ServingTest, DeadlineStatusPropagatesThroughFutureAndCallback) {
   expired.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
 
-  EXPECT_EQ(service.SubmitEstimate(req, expired).get().status,
-            EstimateStatus::kDeadlineExceeded);
+  const auto blocking = service.EstimateBatch({req}, expired);
+  ASSERT_EQ(blocking.size(), 1u);
+  EXPECT_EQ(blocking[0].status, EstimateStatus::kDeadlineExceeded);
 
-  std::promise<EstimateResult> delivered;
-  service.SubmitEstimate(
-      req, [&delivered](EstimateResult r) { delivered.set_value(r); },
-      expired);
-  EXPECT_EQ(delivered.get_future().get().status,
-            EstimateStatus::kDeadlineExceeded);
-
-  std::promise<std::vector<EstimateResult>> batch_delivered;
-  service.SubmitBatch({req, req},
-                      [&batch_delivered](std::vector<EstimateResult> results) {
-                        batch_delivered.set_value(std::move(results));
-                      },
-                      expired);
-  const auto batch_results = batch_delivered.get_future().get();
-  ASSERT_EQ(batch_results.size(), 2u);
-  for (const auto& r : batch_results) {
-    EXPECT_EQ(r.status, EstimateStatus::kDeadlineExceeded);
+  for (const auto& requests : {std::vector<EstimateRequest>{req},
+                               std::vector<EstimateRequest>{req, req}}) {
+    std::promise<std::vector<EstimateResult>> delivered;
+    service.SubmitBatch(requests,
+                        [&delivered](std::vector<EstimateResult> results) {
+                          delivered.set_value(std::move(results));
+                        },
+                        expired);
+    const auto results = delivered.get_future().get();
+    ASSERT_EQ(results.size(), requests.size());
+    for (const auto& r : results) {
+      EXPECT_EQ(r.status, EstimateStatus::kDeadlineExceeded);
+    }
   }
   EXPECT_EQ(service.stats().ForPriority(TaskPriority::kUrgent).expired, 4u);
 }
@@ -1255,21 +1257,21 @@ TEST_F(ServingTest, DeltaPublishPreservesUntouchedEstimatesAndCacheEntries) {
   EXPECT_EQ(post_io.cache_misses, pre_io.cache_misses);
   EXPECT_GT(post_io.cache_hits, pre_io.cache_hits);
 
-  // CPU pass, serially (Estimate() bypasses chunk parallelism, so the
-  // miss accounting is exact): refitted sort keys miss exactly once, every
-  // other operator's entries still hit.
+  // CPU pass, serially (a one-request batch is one chunk, so the miss
+  // accounting is exact): refitted sort keys miss exactly once, every other
+  // operator's entries still hit.
   const size_t unique_sort_keys =
       CountUniqueOperatorKeys(*workload_, OpType::kSort, base->mode());
   ASSERT_GT(unique_sort_keys, 0u);
   const ServiceStats pre_cpu = service.stats();
   std::vector<EstimateResult> cpu_after;
   for (const auto& req : cpu_requests) {
-    cpu_after.push_back(service.Estimate(req));
+    cpu_after.push_back(service.EstimateBatch({req})[0]);
   }
   const ServiceStats post_cpu = service.stats();
   EXPECT_EQ(post_cpu.cache_misses - pre_cpu.cache_misses, unique_sort_keys);
 
-  for (const auto& req : cpu_requests) (void)service.Estimate(req);
+  for (const auto& req : cpu_requests) (void)service.EstimateBatch({req});
   EXPECT_EQ(service.stats().cache_misses, post_cpu.cache_misses)
       << "refitted-operator entries must miss exactly once";
 
@@ -1344,10 +1346,11 @@ TEST_F(ServingTest, ScopedInvalidationReflectsInCacheShardStats) {
 }
 
 TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
-  // Continuous SubmitEstimate traffic racing RefitAffected() + hot-swap on
-  // the shared pool (the refit rides kBulk under the serving lanes): every
-  // response must be bit-identical to one of the two published versions —
-  // no torn reads, no half-swapped models, cache hits included.
+  // Continuous one-request EstimateBatch traffic racing RefitAffected() +
+  // hot-swap on the shared pool (the refit rides kBulk under the serving
+  // lanes): every response must be bit-identical to one of the two
+  // published versions — no torn reads, no half-swapped models, cache hits
+  // included.
   ModelRegistry registry;
   ThreadPool pool(4);
   TrainOptions options;
@@ -1394,7 +1397,7 @@ TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
       bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t idx = i++ % requests.size();
-        const EstimateResult r = service.SubmitEstimate(requests[idx]).get();
+        const EstimateResult r = service.EstimateBatch({requests[idx]})[0];
         std::lock_guard<std::mutex> lock(obs_mu);
         observations.push_back({idx, r.model_version, r.value, r.status});
         if (first) serving.fetch_add(1);
@@ -1411,10 +1414,8 @@ TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
   ASSERT_TRUE(delta);
   const uint64_t v2 = delta.version;
   // Let some traffic observe the new version before stopping.
-  for (int i = 0; i < 20; ++i) {
-    (void)service.SubmitEstimate(requests[static_cast<size_t>(i) %
-                                          requests.size()])
-        .get();
+  for (size_t i = 0; i < 20; ++i) {
+    (void)service.EstimateBatch({requests[i % requests.size()]});
   }
   stop.store(true);
   for (auto& t : traffic) t.join();
@@ -1435,27 +1436,10 @@ TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
     }
   }
   // After the swap settles, everything serves from the delta.
-  const EstimateResult settled = service.Estimate(requests[0]);
+  const EstimateResult settled = service.EstimateBatch({requests[0]})[0];
   ASSERT_TRUE(settled.ok());
   EXPECT_EQ(settled.model_version, v2);
   EXPECT_EQ(settled.value, serial_v2[0]);
-}
-
-TEST_F(ServingTest, PipelineEstimatesMatchDirectCall) {
-  ModelRegistry registry;
-  registry.Publish("default", SharedEstimator());
-  ThreadPool pool(2);
-  EstimationService service(&registry, &pool);
-
-  const auto& eq = workload_->front();
-  const EstimateRequest req{&eq.plan, eq.database, Resource::kCpu};
-  const auto via_service = service.EstimatePipelines(req);
-  const auto direct =
-      estimator_->EstimatePipelines(eq.plan, *eq.database, Resource::kCpu);
-  ASSERT_EQ(via_service.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_service[i], direct[i]);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1861,11 +1845,8 @@ TEST_F(ServingTest, SmallBatchesCompleteOnTheSubmittingThread) {
     expect_delivered_here(d);
     expect_serial(by_callback, d.results);
 
-    const auto by_future = OperatorRequests(rows, salt += 16);
-    auto future = service.SubmitBatch(by_future);
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    expect_serial(by_future, future.get());
+    const auto blocking = OperatorRequests(rows, salt += 16);
+    expect_serial(blocking, service.EstimateBatch(blocking));
     EXPECT_EQ(pool.QueueDepth(), depth);
     batches += 2;
   }
@@ -1880,19 +1861,6 @@ TEST_F(ServingTest, SmallBatchesCompleteOnTheSubmittingThread) {
   expect_serial(twice, deduped.results);
   ++batches;
 
-  // The single-request flavours are one-item batches.
-  const EstimateRequest single = OperatorRequests(1, salt += 16)[0];
-  auto single_future = service.SubmitEstimate(single);
-  ASSERT_EQ(single_future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  expect_serial({single}, {single_future.get()});
-  Delivery& single_delivery = deliveries.emplace_back();
-  service.SubmitEstimate(single, [&single_delivery](EstimateResult r) {
-    single_delivery.Callback()({r});
-  });
-  expect_delivered_here(single_delivery);
-  expect_serial({single}, single_delivery.results);
-  batches += 2;
   EXPECT_EQ(pool.QueueDepth(), depth);
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -1902,7 +1870,7 @@ TEST_F(ServingTest, SmallBatchesCompleteOnTheSubmittingThread) {
 
   // One item past the cap goes to the pool and waits for the gate.
   const auto large = OperatorRequests(kInlineBatchMaxItems + 1, salt += 16);
-  auto pending = service.SubmitBatch(large);
+  auto pending = SubmitToFuture(service, large);
   EXPECT_EQ(pending.wait_for(std::chrono::milliseconds(50)),
             std::future_status::timeout);
   EXPECT_GT(pool.QueueDepth(), depth);

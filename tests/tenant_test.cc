@@ -123,7 +123,7 @@ TEST_F(TenantTest, RegistrationResolutionAndModelNaming) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.enable_coalescing = false;
+  options.coalescer.max_rows = 0;
   TenantManager manager(&registry, &pool, options);
 
   std::string error;
@@ -142,6 +142,9 @@ TEST_F(TenantTest, RegistrationResolutionAndModelNaming) {
   // The default tenant keeps the bare model name; named tenants get @id.
   EXPECT_EQ(manager.Resolve(kDefaultTenant)->model_name, "m");
   EXPECT_EQ(manager.Resolve("alpha")->model_name, "m@alpha");
+  // coalescer.max_rows = 0 builds no coalescer.
+  EXPECT_EQ(manager.Resolve(kDefaultTenant)->coalescer, nullptr);
+  EXPECT_EQ(manager.Resolve("alpha")->coalescer, nullptr);
 
   // One publish fans out under every tenant's name with distinct versions.
   const uint64_t default_version = manager.PublishToAll(SharedEstimator());
@@ -158,7 +161,7 @@ TEST_F(TenantTest, CacheFloodInOneTenantNeverEvictsAnother) {
   options.service.model_name = "m";
   options.service.cache_capacity = 64;  // tiny region: floods evict fast
   options.service.cache_shards = 1;
-  options.enable_coalescing = false;
+  options.coalescer.max_rows = 0;
   TenantManager manager(&registry, &pool, options);
   ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
   ASSERT_NE(manager.AddTenant("alpha", nullptr), nullptr);
@@ -194,7 +197,7 @@ TEST_F(TenantTest, RefitPublishInOneTenantKeepsAnotherTenantsKeysLive) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.enable_coalescing = false;
+  options.coalescer.max_rows = 0;
   TenantManager manager(&registry, &pool, options);
   ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
   ASSERT_NE(manager.AddTenant("alpha", nullptr), nullptr);
@@ -394,7 +397,7 @@ TEST(TenantCrashRecoveryTest, SigkillMidAppendRecoversBothTenantsExactly) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "crash";
-  options.enable_coalescing = false;
+  options.coalescer.max_rows = 0;
   options.data_dir = root;
   options.train = TinyOptions();
   options.log_bounds = TightBounds();
@@ -446,7 +449,6 @@ TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
         TenantManager::Tenant* tenant = manager.Resolve(tenant_ids[t]);
         for (int round = 0; round < kRoundsPerClient; ++round) {
           SubmitOptions submit;
-          submit.tenant = tenant->id;
           submit.priority =
               round % 3 == 0 ? TaskPriority::kUrgent : TaskPriority::kNormal;
           tenant->coalescer->Submit(
