@@ -1,6 +1,6 @@
 // Bump-pointer arena for per-chunk serving scratch (the edgesql-lite
 // arena/query-allocator pattern): the batched estimation pipeline allocates
-// all of its transient state — grouped rows, dedup tables, packed input
+// all of its transient state — term values, grouped rows, packed input
 // matrices — from one arena that is Reset() between chunks instead of freed,
 // so the steady-state batch path performs zero heap allocations.
 //

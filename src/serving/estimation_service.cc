@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <future>
 #include <thread>
 #include <utility>
@@ -70,17 +69,13 @@ struct EstimationService::BatchState {
   std::vector<EstimateRequest> requests;
   std::vector<EstimateResult> results;
   ModelSnapshot snapshot;
-  /// Batch-level identity dedup: when the batch contains duplicates, `reps`
-  /// lists the first occurrence of each distinct request in request order
-  /// and chunks cover `reps` instead of `requests`; dup_of[i] is the
-  /// representative whose result request i copies in FinishBatch
-  /// (dup_of[i] <= i, so the source is final by then). Both stay empty when
-  /// every request is distinct — chunks then index `requests` directly,
-  /// with no indirection cost.
-  std::vector<uint32_t> reps;
-  std::vector<uint32_t> dup_of;
-  /// Chunked work items: reps.size() under dedup, requests.size() otherwise.
-  size_t work_items = 0;
+  /// Batch-level identity dedup: when the batch contains duplicates,
+  /// MakeBatch compacts `requests` in place to the first occurrence of each
+  /// distinct request (in request order), and slot_of[i] is the compacted
+  /// index whose result request i copies in FinishBatch (slot_of[i] <= i).
+  /// Empty when every request is distinct. Chunks cover the compacted
+  /// `requests` and write the matching leading slots of `results`.
+  std::vector<uint32_t> slot_of;
   size_t chunk_size = 1;
   size_t num_chunks = 0;
   /// Completed at creation (empty, rejected, expired, or no model): no
@@ -277,79 +272,51 @@ void EstimationService::EstimateChunk(const ModelSnapshot& snapshot,
     }
   }
 
-  // Counting sort of the misses by (op, resource) slot — stable, so the
-  // first miss of each distinct feature vector defines its cache entry.
+  // Counting sort of the misses by (op, resource) slot into contiguous
+  // sweep rows; `row_term[p]` is the term that row p's prediction fills.
   uint32_t* slot_offset = scratch->AllocateArray<uint32_t>(kNumModelSlots + 1);
   for (size_t s = 0; s <= kNumModelSlots; ++s) slot_offset[s] = 0;
   for (size_t m = 0; m < num_misses; ++m) ++slot_offset[misses[m].slot + 1];
   for (size_t s = 1; s <= kNumModelSlots; ++s) {
     slot_offset[s] += slot_offset[s - 1];
   }
-  uint32_t* grouped = scratch->AllocateArray<uint32_t>(num_misses);
+  const FeatureVector** rows =
+      scratch->AllocateArray<const FeatureVector*>(num_misses);
+  uint32_t* row_term = scratch->AllocateArray<uint32_t>(num_misses);
   {
     uint32_t* cursor = scratch->AllocateArray<uint32_t>(kNumModelSlots);
     for (size_t s = 0; s < kNumModelSlots; ++s) cursor[s] = slot_offset[s];
     for (size_t m = 0; m < num_misses; ++m) {
-      grouped[cursor[misses[m].slot]++] = static_cast<uint32_t>(m);
+      const uint32_t p = cursor[misses[m].slot]++;
+      rows[p] = misses[m].features;
+      row_term[p] = misses[m].term;
     }
   }
 
-  // One batched sweep per (op, resource) group, over the group's *distinct*
-  // feature vectors: chunks repeat operators heavily (self-similar plans,
-  // repeated probes), and bitwise-identical rows are — by the bit-identity
-  // contract — guaranteed the same double, so each is predicted and
-  // cache-inserted once. Dedup is an open-addressing table keyed by the
-  // bitwise feature hash.
-  constexpr uint32_t kEmpty = 0xffffffffu;
+  // One batched sweep per (op, resource) group over all of its miss rows,
+  // each then inserted into the cache. Identity dedup (MakeBatch) already
+  // made the batch's requests distinct, so a row repeats here only when plan
+  // operators share a feature row (within one plan or across plans) or a
+  // plan operator matches an operator payload; such a row is predicted again
+  // (the same double, by the bit-identity contract) and its second Insert
+  // refreshes the first's entry.
+  double* sweep_out = scratch->AllocateArray<double>(num_misses);
   for (size_t s = 0; s < kNumModelSlots; ++s) {
     const size_t begin = slot_offset[s], end = slot_offset[s + 1];
     if (begin == end) continue;
-    const size_t group_size = end - begin;
-    size_t cap = 4;
-    while (cap < 2 * group_size) cap <<= 1;
-    uint32_t* table = scratch->AllocateArray<uint32_t>(cap);
-    for (size_t b = 0; b < cap; ++b) table[b] = kEmpty;
-    const FeatureVector** rows =
-        scratch->AllocateArray<const FeatureVector*>(group_size);
-    uint32_t* defining_miss = scratch->AllocateArray<uint32_t>(group_size);
-    uint32_t* row_of = scratch->AllocateArray<uint32_t>(group_size);
-    uint32_t num_rows = 0;
-    for (size_t p = begin; p < end; ++p) {
-      const Miss& m = misses[grouped[p]];
-      size_t b = HashFeatureVector(*m.features) & (cap - 1);
-      while (true) {
-        const uint32_t u = table[b];
-        if (u == kEmpty) {
-          table[b] = num_rows;
-          rows[num_rows] = m.features;
-          defining_miss[num_rows] = grouped[p];
-          row_of[p - begin] = num_rows;
-          ++num_rows;
-          break;
-        }
-        if (FeatureVectorHashEqual(*rows[u], *m.features)) {
-          row_of[p - begin] = u;
-          break;
-        }
-        b = (b + 1) & (cap - 1);
-      }
-    }
     const OpType op = static_cast<OpType>(s / kNumResources);
     const Resource resource = static_cast<Resource>(s % kNumResources);
-    double* sweep_out = scratch->AllocateArray<double>(num_rows);
-    estimator.EstimateBatchFromFeatures(op, rows, num_rows, resource,
-                                        sweep_out, scratch);
+    estimator.EstimateBatchFromFeatures(op, rows + begin, end - begin,
+                                        resource, sweep_out + begin, scratch);
     for (size_t p = begin; p < end; ++p) {
-      values[misses[grouped[p]].term] = sweep_out[row_of[p - begin]];
-    }
-    if (cache_ != nullptr) {
-      for (uint32_t u = 0; u < num_rows; ++u) {
+      values[row_term[p]] = sweep_out[p];
+      if (cache_ != nullptr) {
         EstimateCache::Key key;
         key.model_version = snapshot.SlotVersion(op, resource);
         key.op = op;
         key.resource = resource;
-        key.features = *misses[defining_miss[u]].features;
-        cache_->Insert(key, sweep_out[u]);
+        key.features = *rows[p];
+        cache_->Insert(key, sweep_out[p]);
       }
     }
   }
@@ -421,8 +388,10 @@ std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
   // a probe repeated across a batch) are one unit of work, not many. Keys
   // are pointer identity for plan requests (no plan traversal, no feature
   // hashing at admission time) and the bitwise feature hash for operator
-  // payloads. Chunk sizing below runs over the deduplicated work list;
-  // FinishBatch copies each representative's result to its duplicates.
+  // payloads. Duplicates are compacted out of `requests`, so chunk sizing
+  // below runs over the distinct requests; FinishBatch copies each result
+  // back to its duplicates.
+  std::vector<EstimateRequest>& reqs = state->requests;
   if (n > 1) {
     const auto hash_of = [](const EstimateRequest& r) -> size_t {
       size_t h;
@@ -451,40 +420,35 @@ std::shared_ptr<EstimationService::BatchState> EstimationService::MakeBatch(
     size_t cap = 4;
     while (cap < 2 * n) cap <<= 1;
     std::vector<uint32_t> table(cap, kEmpty);
-    state->dup_of.resize(n);
-    state->reps.reserve(n);
+    std::vector<uint32_t> slot_of(n);
+    uint32_t kept = 0;
+    // The table holds compacted indices, all below `kept`, and kept <= i:
+    // moving request i down to `kept` never overwrites an unscanned request.
     for (size_t i = 0; i < n; ++i) {
-      const EstimateRequest& req = state->requests[i];
-      size_t b = hash_of(req) & (cap - 1);
+      size_t b = hash_of(reqs[i]) & (cap - 1);
       while (true) {
         const uint32_t u = table[b];
         if (u == kEmpty) {
-          table[b] = static_cast<uint32_t>(i);
-          state->dup_of[i] = static_cast<uint32_t>(i);
-          state->reps.push_back(static_cast<uint32_t>(i));
+          table[b] = kept;
+          if (kept != i) reqs[kept] = reqs[i];
+          slot_of[i] = kept++;
           break;
         }
-        if (same(state->requests[u], req)) {
-          state->dup_of[i] = u;
+        if (same(reqs[u], reqs[i])) {
+          slot_of[i] = u;
           break;
         }
         b = (b + 1) & (cap - 1);
       }
     }
-    if (state->reps.size() == n) {
-      // All distinct: drop the indirection so chunks read `requests`
-      // contiguously (the common case for non-repeating streams).
-      state->reps.clear();
-      state->reps.shrink_to_fit();
-      state->dup_of.clear();
-      state->dup_of.shrink_to_fit();
+    if (kept < n) {
+      reqs.resize(kept);
+      state->slot_of = std::move(slot_of);
     }
   }
-  state->work_items = state->reps.empty() ? n : state->reps.size();
 
-  state->chunk_size = EffectiveChunkSize(state->work_items, state->priority);
-  state->num_chunks =
-      (state->work_items + state->chunk_size - 1) / state->chunk_size;
+  state->chunk_size = EffectiveChunkSize(reqs.size(), state->priority);
+  state->num_chunks = (reqs.size() + state->chunk_size - 1) / state->chunk_size;
   state->chunks_left.store(state->num_chunks, std::memory_order_relaxed);
   return state;
 }
@@ -503,7 +467,7 @@ size_t EstimationService::EffectiveChunkSize(size_t batch_size,
   size_t chunk = (batch_size + 3 * workers - 1) / (3 * workers);
   // Lane caps: an urgent batch wants small chunks (its latency is bounded
   // by its largest chunk, and other lanes preempt between chunks); a bulk
-  // batch wants wide chunks (maximum dedup + sweep width, and it is the
+  // batch wants wide chunks (maximum sweep width, and it is the
   // work being preempted, not doing the preempting). Measured on the
   // serving bench: normal-lane 64 is past the knee of the claim-overhead
   // curve while still splitting a 2k-request batch 30+ ways.
@@ -521,8 +485,8 @@ size_t EstimationService::EffectiveChunkSize(size_t batch_size,
   // bulk cap tuned for a dedicated core leaves urgent probes stranded for
   // tens of milliseconds on a small host. Shrink the non-urgent caps by the
   // oversubscription factor — a no-op when the pool fits the hardware — with
-  // a floor that keeps the dedup/sweep width past the knee where batching
-  // stops paying.
+  // a floor that keeps the sweep width past the knee where batching stops
+  // paying.
   if (priority != TaskPriority::kUrgent) {
     const size_t hw =
         std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -541,14 +505,7 @@ bool EstimationService::RunOneChunk(
   if (chunk >= batch.num_chunks) return false;
   const bool more = chunk + 1 < batch.num_chunks;
   const size_t begin = chunk * batch.chunk_size;
-  const size_t end = std::min(begin + batch.chunk_size, batch.work_items);
-  // Chunks cover the deduplicated work list when the batch had duplicates
-  // (BatchState::reps); request_at maps a work index to the request it
-  // represents. Duplicates receive their copies in FinishBatch.
-  const bool dedup = !batch.reps.empty();
-  const auto request_at = [&](size_t i) -> size_t {
-    return dedup ? batch.reps[i] : i;
-  };
+  const size_t end = std::min(begin + batch.chunk_size, batch.requests.size());
   // Best-effort deadline: decided once, when the chunk starts. A chunk that
   // begins before the deadline always runs to completion (results stay
   // bit-identical for every request that completes); one that would begin
@@ -559,7 +516,7 @@ bool EstimationService::RunOneChunk(
   }
   if (expired) {
     for (size_t i = begin; i < end; ++i) {
-      EstimateResult& r = batch.results[request_at(i)];
+      EstimateResult& r = batch.results[i];
       r = EstimateResult{};
       r.status = EstimateStatus::kDeadlineExceeded;
       r.model_version = batch.snapshot.version;
@@ -567,47 +524,20 @@ bool EstimationService::RunOneChunk(
   } else {
     Arena& arena = ChunkArena();
     arena.Reset();
-    const size_t chunk_count = end - begin;
-    // EstimateChunk wants contiguous requests/results; under dedup the
-    // representatives are scattered, so pack them into arena scratch (a
-    // few hundred bytes per request, reclaimed by the next Reset) and
-    // scatter the results back.
-    const EstimateRequest* chunk_requests;
-    EstimateResult* chunk_results;
-    if (dedup) {
-      EstimateRequest* packed =
-          arena.AllocateArray<EstimateRequest>(chunk_count);
-      for (size_t i = 0; i < chunk_count; ++i) {
-        std::memcpy(&packed[i], &batch.requests[request_at(begin + i)],
-                    sizeof(EstimateRequest));
-      }
-      chunk_requests = packed;
-      chunk_results = arena.AllocateArray<EstimateResult>(chunk_count);
-    } else {
-      chunk_requests = batch.requests.data() + begin;
-      chunk_results = batch.results.data() + begin;
-    }
     try {
-      EstimateChunk(batch.snapshot, chunk_requests, chunk_count, chunk_results,
-                    &arena);
-      if (dedup) {
-        for (size_t i = 0; i < chunk_count; ++i) {
-          batch.results[request_at(begin + i)] = chunk_results[i];
-        }
-      }
+      EstimateChunk(batch.snapshot, batch.requests.data() + begin, end - begin,
+                    batch.results.data() + begin, &arena);
     } catch (...) {
       // Estimation only throws on resource exhaustion (allocation), and the
       // grouped chunk's scratch is the biggest allocation on the path —
       // retry each request alone before giving up on it. Failures surface
       // per request, and the countdown still reaches zero so completion is
-      // delivered exactly once. (Reset() below frees the packed copies too,
-      // so the retries read the originals straight from the batch.)
+      // delivered exactly once.
       for (size_t i = begin; i < end; ++i) {
-        EstimateResult& r = batch.results[request_at(i)];
+        EstimateResult& r = batch.results[i];
         try {
           arena.Reset();
-          EstimateChunk(batch.snapshot, &batch.requests[request_at(i)], 1, &r,
-                        &arena);
+          EstimateChunk(batch.snapshot, &batch.requests[i], 1, &r, &arena);
         } catch (...) {
           r = EstimateResult{};
           r.status = EstimateStatus::kInternalError;
@@ -632,13 +562,12 @@ void EstimationService::RunChunks(
 
 void EstimationService::FinishBatch(BatchState* state) const {
   // Deliver the identity-dedup duplicates: every request copies its
-  // representative's result (value, status and version alike — an expired
-  // or failed representative expires or fails its duplicates too).
-  // dup_of[i] <= i, so each source slot is final before it is read.
-  if (!state->dup_of.empty()) {
-    for (size_t i = 0; i < state->results.size(); ++i) {
-      const uint32_t rep = state->dup_of[i];
-      if (rep != i) state->results[i] = state->results[rep];
+  // compacted slot's result (value, status and version alike — an expired
+  // or failed request expires or fails its duplicates too). Back to front:
+  // slot_of[i] <= i, so each source slot is still unwritten when read.
+  if (!state->slot_of.empty()) {
+    for (size_t i = state->results.size(); i-- > 0;) {
+      state->results[i] = state->results[state->slot_of[i]];
     }
   }
   uint64_t ok = 0, expired = 0, failed = 0;
@@ -685,7 +614,7 @@ void EstimationService::LaunchBatch(
     FinishBatch(state.get());
     return;
   }
-  if (state->work_items <= kInlineBatchMaxItems) {
+  if (state->requests.size() <= kInlineBatchMaxItems) {
     // A few rows cost less to estimate than a pool hand-off (queue, wake,
     // context switch, and the completion's trip back to the caller), so
     // run the single chunk here: no pool entry, no in-flight slot.

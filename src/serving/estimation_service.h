@@ -114,7 +114,7 @@ struct ServiceOptions {
   /// to a per-lane cap (urgent 8, normal 64, bulk 256; see
   /// EffectiveChunkSize). Small chunks balance load and keep urgent
   /// latency low; large chunks amortize the claim/countdown round-trip and
-  /// widen the cross-request dedup + compiled-forest sweeps, which is where
+  /// widen the cross-request compiled-forest sweeps, which is where
   /// the batched throughput comes from (measured: fixed chunk_size=8 left
   /// the batched uncached path ~30% *slower* than serial; adaptive sizing
   /// plus chunk-level grouping turned it into the 3x+ win BENCH_serving.json
@@ -302,18 +302,19 @@ class EstimationService {
   /// The grouped compiled-forest fast path for `count` consecutive requests
   /// (one scheduler chunk — the unit one thread serves). Every operator of
   /// every request in the chunk that misses the cache (all of them when the
-  /// cache is disabled) is grouped by (operator type, resource), deduplicated
-  /// bitwise (self-similar plans and repeated probes collapse to one
-  /// prediction), and predicted in one batched sweep per group; each
-  /// request's estimate is then summed in the canonical pre-order traversal
-  /// order. Bit-identical to serial ResourceEstimator::EstimateQuery per
-  /// request: batched predictions equal their scalar counterparts byte for
-  /// byte, cache hits return memoized doubles, and each request's summation
-  /// order is unchanged — only *which requests share a sweep* differs, and
+  /// cache is disabled) is grouped by (operator type, resource) and
+  /// predicted in one batched sweep per group; each request's estimate is
+  /// then summed in the canonical pre-order traversal order. There is no
+  /// row dedup here: the batch's identity dedup already made its requests
+  /// distinct, and the cache absorbs repeats across chunks and batches.
+  /// Bit-identical to serial ResourceEstimator::EstimateQuery per request:
+  /// batched predictions equal their scalar counterparts byte for byte,
+  /// cache hits return memoized doubles, and each request's summation order
+  /// is unchanged — only *which requests share a sweep* differs, and
   /// predictions are row-independent. All scratch (term values, extracted
-  /// features, miss records, dedup tables, packing matrices) comes from
-  /// `scratch`; the caller Reset()s it between chunks, so the steady-state
-  /// chunk performs zero heap allocations. `snapshot` must be valid.
+  /// features, miss records, packing matrices) comes from `scratch`; the
+  /// caller Reset()s it between chunks, so the steady-state chunk performs
+  /// zero heap allocations. `snapshot` must be valid.
   void EstimateChunk(const ModelSnapshot& snapshot,
                      const EstimateRequest* requests, size_t count,
                      EstimateResult* results, Arena* scratch) const;

@@ -3,9 +3,12 @@
 // larger batch must not perform more heap allocations than the smaller one —
 // i.e. the steady-state cost per additional request/chunk is zero heap
 // traffic. (Per-batch setup — the request copy, the result vector, the
-// identity-dedup scan, the batch's one pool entry — allocates a small
-// constant number of blocks; per-request and per-chunk scratch all comes
-// from the thread-local arenas, which Reset() without freeing.)
+// identity-dedup scan and its compaction map, the batch's one pool entry —
+// allocates a small constant number of blocks; per-request and per-chunk
+// scratch all comes from the thread-local arenas, which Reset() without
+// freeing.) The bound is checked twice: on distinct requests, and on
+// batches in which every request appears twice, so identity dedup compacts
+// each batch to half its size before chunking.
 //
 // The hook replaces the global operator new/delete for this test binary
 // only. Under ASan/TSan the sanitizer runtime interposes allocation itself,
@@ -142,19 +145,41 @@ TEST(AllocationTest, SteadyStateBatchAllocationsIndependentOfBatchSize) {
     (void)service.EstimateBatch(small);
   }
 
-  const uint64_t small_allocs =
-      CountAllocations([&] { (void)service.EstimateBatch(small); });
-  const uint64_t large_allocs =
-      CountAllocations([&] { (void)service.EstimateBatch(large); });
+  // Every row twice, interleaved: row i's duplicate follows row i + 1.
+  const auto doubled = [](const std::vector<EstimateRequest>& rows) {
+    std::vector<EstimateRequest> out;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out.push_back(rows[i]);
+      if (i > 0) out.push_back(rows[i - 1]);
+    }
+    out.push_back(rows.back());
+    return out;
+  };
+  const std::vector<EstimateRequest> small_doubled = doubled(small);
+  const std::vector<EstimateRequest> large_doubled = doubled(large);
+  const auto warm = service.EstimateBatch(large_doubled);
+  ASSERT_EQ(warm.size(), large_doubled.size());
+  ASSERT_TRUE(warm.back().ok());
+  (void)service.EstimateBatch(small_doubled);
 
   // 4x the requests (and 4x the chunks) must not add heap traffic: the
   // per-chunk pipeline is arena-backed. The slack absorbs the per-batch
   // constant (vectors, promise state, the pool entry) varying a little
   // between runs; what it must never absorb is a per-request or per-chunk
   // allocation (which would add hundreds here).
-  EXPECT_LE(large_allocs, small_allocs + 32)
-      << "small batch: " << small_allocs
-      << " allocations, large batch: " << large_allocs;
+  const auto expect_bounded = [&](const std::vector<EstimateRequest>& s,
+                                  const std::vector<EstimateRequest>& l) {
+    const uint64_t small_allocs =
+        CountAllocations([&] { (void)service.EstimateBatch(s); });
+    const uint64_t large_allocs =
+        CountAllocations([&] { (void)service.EstimateBatch(l); });
+    EXPECT_LE(large_allocs, small_allocs + 32)
+        << "small batch (" << s.size() << " requests): " << small_allocs
+        << " allocations, large batch (" << l.size()
+        << " requests): " << large_allocs;
+  };
+  expect_bounded(small, large);
+  expect_bounded(small_doubled, large_doubled);
 #endif
 }
 

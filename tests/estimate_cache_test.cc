@@ -11,6 +11,8 @@
 
 #include "gtest/gtest.h"
 #include "src/common/thread_pool.h"
+#include "src/core/estimator.h"
+#include "src/core/features.h"
 #include "src/serving/estimate_cache.h"
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
@@ -460,6 +462,48 @@ TEST_F(ServiceCacheTest, HitsAreBitIdenticalToMissesAndSerial) {
     EXPECT_EQ(cold[i].value, serial) << "cold request " << i;
     EXPECT_EQ(warm[i].value, serial) << "warm request " << i;
   }
+}
+
+TEST_F(ServiceCacheTest, PlanAndOperatorPayloadSharingARowStayCorrect) {
+  // Identity dedup never merges a plan request with an operator request, so
+  // one cold batch holding a plan and its first trained operator's feature
+  // row predicts that row twice in one chunk sweep. Both answers must match
+  // serial, and the second Insert must refresh the first's entry rather
+  // than add one.
+  ModelRegistry registry;
+  registry.Publish("default", Shared(model_a_));
+  ThreadPool pool(2);
+  EstimationService service(&registry, &pool);
+
+  const Resource resource = Resource::kCpu;
+  const EstimateRequest plan_request = Requests(resource)[0];
+  EstimateRequest op_request;
+  bool found = false;
+  ForEachPlanOperator(*plan_request.plan, [&](const PlanNode& node,
+                                              const PlanNode* parent) {
+    if (found || model_a_->ModelsFor(node.type, resource) == nullptr) return;
+    op_request = EstimateRequest::ForOperator(
+        node.type,
+        ExtractFeatures(node, parent, *plan_request.database,
+                        model_a_->mode()),
+        resource);
+    found = true;
+  });
+  ASSERT_TRUE(found) << "plan has no trained operator";
+
+  const auto results = service.EstimateBatch({plan_request, op_request});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok());
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_EQ(results[0].value,
+            model_a_->EstimateQuery(*plan_request.plan,
+                                    *plan_request.database, resource));
+  EXPECT_EQ(results[1].value,
+            model_a_->EstimateFromFeatures(op_request.op, op_request.features,
+                                           resource));
+  const EstimateCacheStats cache = service.cache_stats();
+  EXPECT_GT(cache.entries, 0u);
+  EXPECT_EQ(cache.insertions, cache.entries);
 }
 
 TEST_F(ServiceCacheTest, DisabledCacheMatchesEnabledCache) {

@@ -458,17 +458,38 @@ TEST_F(ServingTest, BatchedResultsBitIdenticalToSerial) {
   ThreadPool pool(4);
   EstimationService service(&registry, &pool);
 
+  // Repeated, interleaved plans on 3-request chunks: plan k is followed by
+  // a repeat of plan k / 2, so duplicates sit between first occurrences,
+  // identity dedup compacts the 24 requests to 12 across 4 chunks, and the
+  // results are copied out to duplicates both before and after later
+  // distinct requests.
+  ServiceOptions small_chunks;
+  small_chunks.chunk_size = 3;
+  EstimationService dedup_service(&registry, &pool, small_chunks);
+
   for (Resource resource : {Resource::kCpu, Resource::kIo}) {
-    const auto requests = QueueRequests(resource);
-    const auto results = service.EstimateBatch(requests);
-    ASSERT_EQ(results.size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(results[i].ok());
-      const double serial = estimator_->EstimateQuery(
-          *requests[i].plan, *requests[i].database, resource);
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(results[i].value, serial) << "request " << i;
+    const auto queue = QueueRequests(resource);
+    ASSERT_GE(queue.size(), 12u);
+    std::vector<EstimateRequest> repeated;
+    for (size_t k = 0; k < 12; ++k) {
+      repeated.push_back(queue[k]);
+      repeated.push_back(queue[k / 2]);
     }
+    const auto expect_serial =
+        [resource](const EstimationService& svc,
+                   const std::vector<EstimateRequest>& requests) {
+          const auto results = svc.EstimateBatch(requests);
+          ASSERT_EQ(results.size(), requests.size());
+          for (size_t i = 0; i < requests.size(); ++i) {
+            ASSERT_TRUE(results[i].ok());
+            const double serial = estimator_->EstimateQuery(
+                *requests[i].plan, *requests[i].database, resource);
+            // Bit-identical, not approximately equal.
+            EXPECT_EQ(results[i].value, serial) << "request " << i;
+          }
+        };
+    expect_serial(service, queue);
+    expect_serial(dedup_service, repeated);
   }
 }
 
@@ -974,12 +995,14 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   registry.Publish("default", SharedEstimator());
   ThreadPool pool(1);
 
-  // One request past the inline cap (so the batch goes to the pool), one-
-  // request chunks, one worker: the pool's only worker steps the batch's
-  // entry, claiming chunks 0..8 in order. The hook parks the worker between
-  // the deadline check and the execution of chunk 0, the test lets the
-  // deadline pass, and every later claim must then expire while chunk 0 —
-  // already started — still completes with its normal value.
+  // One distinct request past the inline cap (so the batch goes to the
+  // pool), one-request chunks, one worker: the pool's only worker steps the
+  // batch's entry, claiming chunks 0..8 in order. The hook parks the worker
+  // between the deadline check and the execution of chunk 0, the test lets
+  // the deadline pass, and every later claim must then expire while chunk
+  // 0 — already started — still completes with its normal value. Trailing
+  // duplicates of requests 0 and 1 claim no chunk of their own (identity
+  // dedup compacts them out) and copy their originals' outcomes.
   std::promise<void> first_chunk_claimed;
   std::promise<void> resume_first_chunk;
   std::shared_future<void> resume = resume_first_chunk.get_future().share();
@@ -1002,8 +1025,9 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
 
   constexpr size_t kRequests = kInlineBatchMaxItems + 1;
   const auto all = QueueRequests(Resource::kCpu);
-  const std::vector<EstimateRequest> requests(all.begin(),
-                                              all.begin() + kRequests);
+  std::vector<EstimateRequest> requests(all.begin(), all.begin() + kRequests);
+  requests.push_back(requests[0]);
+  requests.push_back(requests[1]);
   SubmitOptions opts;
   opts.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
   auto future = SubmitToFuture(service, requests, opts);
@@ -1013,7 +1037,7 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
   resume_first_chunk.set_value();
 
   const auto results = future.get();
-  ASSERT_EQ(results.size(), kRequests);
+  ASSERT_EQ(results.size(), kRequests + 2);
   ASSERT_TRUE(results[0].ok()) << EstimateStatusName(results[0].status);
   EXPECT_EQ(results[0].value,
             estimator_->EstimateQuery(*requests[0].plan, *requests[0].database,
@@ -1022,6 +1046,11 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
     EXPECT_EQ(results[i].status, EstimateStatus::kDeadlineExceeded)
         << "request " << i;
   }
+  // The duplicate of the started request 0 is OK and bit-identical to it;
+  // the duplicate of the expired request 1 expires too.
+  ASSERT_TRUE(results[kRequests].ok());
+  EXPECT_EQ(results[kRequests].value, results[0].value);
+  EXPECT_EQ(results[kRequests + 1].status, EstimateStatus::kDeadlineExceeded);
   {
     std::lock_guard<std::mutex> lock(mu);
     ASSERT_EQ(expired_flags.size(), kRequests);
@@ -1031,8 +1060,8 @@ TEST_F(ServingTest, DeadlineExpiresUnstartedChunksButStartedChunksFinish) {
     }
   }
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.deadline_expired, kRequests - 1);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.deadline_expired, kRequests);
   EXPECT_EQ(stats.errors, 0u);
 }
 
