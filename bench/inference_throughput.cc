@@ -11,7 +11,9 @@
 //
 // The kernel sweep then times the first 4096 of those rows cut into calls
 // of 1..256 rows, through Predict (one call per row) and through every
-// kernel the host supports (PredictBatchWith), in ns per row per tree.
+// kernel the host supports (PredictBatchWith), in ns per row per tree. The
+// widths around 32 (24, 31, 33, 48, 100) measure the AVX2 kernel's split:
+// whole 32-row blocks in vector code, the remainder in the scalar walk.
 // Serving calls the forest once per (op, resource) group of a chunk, so
 // admission-style traffic lives at widths 1-4: the one-big-batch figure
 // above says nothing about them.
@@ -19,8 +21,8 @@
 // Environment knobs:
 //   RESEST_INFER_TREES   ensemble size            (default 150)
 //   RESEST_INFER_ROWS    rows per pass            (default 100000)
-//   RESEST_INFER_PASSES  timed passes per path    (default 3; best is kept,
-//                        the sweep keeps the median)
+//   RESEST_INFER_PASSES  timed passes per path    (default 3; every figure
+//                        is the median pass)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -49,7 +51,8 @@ void PrintRow(const char* label, double rows_per_sec, double baseline) {
               rows_per_sec / baseline);
 }
 
-constexpr size_t kSweepWidths[] = {1, 2, 4, 8, 15, 16, 17, 32, 64, 256};
+constexpr size_t kSweepWidths[] = {1,  2,  4,  8,  15, 16,  17, 24,
+                                   31, 32, 33, 48, 64, 100, 256};
 
 /// One column of the kernel sweep: Predict row by row, or PredictBatchWith
 /// through one kernel.
@@ -66,7 +69,7 @@ int main() {
   const int num_rows = bench::EnvInt("RESEST_INFER_ROWS", 100000);
   const int num_passes = bench::EnvInt("RESEST_INFER_PASSES", 3);
 
-  std::printf("== inference throughput: %d-tree MART, %d rows, best of %d "
+  std::printf("== inference throughput: %d-tree MART, %d rows, median of %d "
               "passes ==\n\n",
               num_trees, num_rows, num_passes);
 
@@ -99,23 +102,26 @@ int main() {
   }
 
   std::vector<double> legacy(n), scalar(n), batched(n);
-  double legacy_sec = 1e100, scalar_sec = 1e100, batched_sec = 1e100;
+  std::vector<double> legacy_secs, scalar_secs, batched_secs;
   for (int pass = 0; pass < num_passes + 1; ++pass) {
-    // Pass 0 is an untimed warm-up; afterwards keep each path's best time.
+    // Pass 0 is an untimed warm-up; each path reports its median pass.
     auto start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < n; ++i) legacy[i] = mart.PredictReference(rows[i]);
-    if (pass > 0) legacy_sec = std::min(legacy_sec, SecondsSince(start));
+    if (pass > 0) legacy_secs.push_back(SecondsSince(start));
 
     start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < n; ++i) {
       scalar[i] = mart.Predict(matrix.data() + i * kFeatures, kFeatures);
     }
-    if (pass > 0) scalar_sec = std::min(scalar_sec, SecondsSince(start));
+    if (pass > 0) scalar_secs.push_back(SecondsSince(start));
 
     start = std::chrono::steady_clock::now();
     mart.compiled().PredictBatch(matrix.data(), n, kFeatures, batched.data());
-    if (pass > 0) batched_sec = std::min(batched_sec, SecondsSince(start));
+    if (pass > 0) batched_secs.push_back(SecondsSince(start));
   }
+  const double legacy_sec = Median(legacy_secs);
+  const double scalar_sec = Median(scalar_secs);
+  const double batched_sec = Median(batched_secs);
 
   size_t mismatches = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -136,9 +142,6 @@ int main() {
                                   {"scalar", false, ForestKernel::kScalar}};
   if (CompiledForest::Avx2Supported()) {
     paths.push_back({"avx2", false, ForestKernel::kAvx2});
-  }
-  if (CompiledForest::Avx512Supported()) {
-    paths.push_back({"avx512", false, ForestKernel::kAvx512});
   }
   const size_t sweep_rows = std::min<size_t>(n, 4096);
   constexpr size_t kNumWidths = std::size(kSweepWidths);

@@ -769,9 +769,8 @@ int main() {
   }
   std::printf("request stream: %d requests over %zu distinct plans\n",
               num_requests, distinct);
-  std::printf("compiled-forest kernel: %s (lockstep width %zu)\n\n",
-              CompiledForest::ActiveKernelName(),
-              CompiledForest::ActiveLockstepWidth());
+  std::printf("compiled-forest kernel: %s\n\n",
+              CompiledForest::ActiveKernelName());
 
   // --- Serial baseline: one thread, one request at a time. ---
   std::vector<double> serial(requests.size());
@@ -1030,13 +1029,10 @@ int main() {
   json.Number("batched_cached_qps", dn / memoized.seconds);
   json.Number("batched_uncached_speedup", serial_sec / fanout.seconds);
   // Inference-path configuration behind the numbers above: which compiled-
-  // forest kernel ran (avx512 / avx2 / scalar), its lockstep width,
-  // and the chunk size the adaptive policy picked for this batch shape —
-  // so a regression in the JSON can be attributed to a dispatch or sizing
-  // change, not just "got slower".
+  // forest kernel ran (avx2 / scalar) and the chunk size the adaptive
+  // policy picked for this batch shape — so a regression in the JSON can be
+  // attributed to a dispatch or sizing change, not just "got slower".
   json.Str("simd_kernel", CompiledForest::ActiveKernelName());
-  json.Int("lockstep_width",
-           static_cast<long long>(CompiledForest::ActiveLockstepWidth()));
   json.Int("chunk_size_effective",
            static_cast<long long>(uncached.EffectiveChunkSize(
                requests.size(), TaskPriority::kNormal)));

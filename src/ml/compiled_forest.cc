@@ -21,6 +21,13 @@ int32_t SubtreeDepth(const std::vector<TreeNode>& nodes, size_t node) {
   const int32_t r = SubtreeDepth(nodes, static_cast<size_t>(n.right));
   return 1 + (l > r ? l : r);
 }
+
+#if defined(RESEST_HAVE_AVX2_KERNEL)
+/// 8-row lockstep groups the AVX2 kernel interleaves per tree walk (see
+/// Avx2WalkBlock), and so the rows of the only block it ever walks.
+constexpr size_t kAvx2Groups = 4;
+constexpr size_t kAvx2BlockRows = CompiledForest::kLockstepWidth * kAvx2Groups;
+#endif
 }  // namespace
 
 int32_t CompiledForest::EmitSubtree(const std::vector<TreeNode>& tree_nodes,
@@ -123,16 +130,12 @@ inline size_t Step(size_t i, const double* x,
 
 ForestKernel CompiledForest::ActiveKernel() {
   static const ForestKernel kernel = [] {
-    // The override names the widest kernel the caller wants; unsupported
-    // requests fall down the ladder rather than erroring, so a script can
-    // set RESEST_SIMD=avx512 and still run on an AVX2-only host.
+    // RESEST_SIMD=scalar pins the reference-order kernel; any other value
+    // leaves the default.
     const char* env = std::getenv("RESEST_SIMD");
     if (env != nullptr && std::strcmp(env, "scalar") == 0) {
       return ForestKernel::kScalar;
     }
-    const bool want_avx512 =
-        env == nullptr || std::strcmp(env, "avx512") == 0;
-    if (want_avx512 && Avx512Supported()) return ForestKernel::kAvx512;
     return Avx2Supported() ? ForestKernel::kAvx2 : ForestKernel::kScalar;
   }();
   return kernel;
@@ -146,27 +149,8 @@ bool CompiledForest::Avx2Supported() {
 #endif
 }
 
-bool CompiledForest::Avx512Supported() {
-#if defined(RESEST_HAVE_AVX2_KERNEL)
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512vl") != 0 &&
-         __builtin_cpu_supports("avx512dq") != 0;
-#else
-  return false;
-#endif
-}
-
 const char* CompiledForest::ActiveKernelName() {
-  switch (ActiveKernel()) {
-    case ForestKernel::kAvx512: return "avx512";
-    case ForestKernel::kAvx2: return "avx2";
-    case ForestKernel::kScalar: break;
-  }
-  return "scalar";
-}
-
-size_t CompiledForest::ActiveLockstepWidth() {
-  return ActiveKernel() == ForestKernel::kAvx512 ? 16 : kLockstepWidth;
+  return ActiveKernel() == ForestKernel::kAvx2 ? "avx2" : "scalar";
 }
 
 double CompiledForest::Predict(const double* features, size_t count) const {
@@ -196,24 +180,21 @@ void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
 void CompiledForest::PredictBatchWith(ForestKernel kernel, const double* rows,
                                       size_t num_rows, size_t stride,
                                       double* out) const {
-  // A vector kernel gets only the rows that fill its lockstep groups; the
-  // remainder (every row of a batch narrower than one group) walks the
-  // scalar kernel. Each row accumulates independently, in boosting order,
-  // so the split is bit-identical to any single kernel.
+  // The AVX2 kernel gets only the rows that fill its 32-row blocks; the
+  // remainder (every row of a batch narrower than one block) walks the
+  // scalar kernel, which beats a lone latency-bound 8-row gather group.
+  // Each row accumulates independently, in boosting order, so the split is
+  // bit-identical to any single kernel.
   size_t whole = 0;
 #if defined(RESEST_HAVE_AVX2_KERNEL)
-  // Both vector kernels address feature values with 32-bit offsets; batches
+  // The AVX2 kernel addresses feature values with 32-bit offsets; batches
   // past that range (not reachable through the serving layer's batch cap)
   // take the scalar path.
   const bool offsets_fit =
       num_rows * stride <=
       static_cast<size_t>(std::numeric_limits<int32_t>::max());
-  if (kernel == ForestKernel::kAvx512 && Avx512Supported() && offsets_fit) {
-    whole = num_rows - num_rows % 16;
-    if (whole > 0) PredictBatchAvx512(rows, whole, stride, out);
-  } else if (kernel == ForestKernel::kAvx2 && Avx2Supported() &&
-             offsets_fit) {
-    whole = num_rows - num_rows % 8;
+  if (kernel == ForestKernel::kAvx2 && Avx2Supported() && offsets_fit) {
+    whole = num_rows - num_rows % kAvx2BlockRows;
     if (whole > 0) PredictBatchAvx2(rows, whole, stride, out);
   }
 #else
@@ -279,14 +260,14 @@ void CompiledForest::PredictBatchScalar(const double* rows, size_t num_rows,
 
 #if defined(RESEST_HAVE_AVX2_KERNEL)
 namespace {
-/// Walks G lockstep groups (8 rows each, starting at row r0) down one tree
-/// and stores the 8*G leaf indices. The gathers in one group's step form a
-/// serial dependency chain (~two gather latencies per level), so a single
-/// group leaves the load ports mostly idle; interleaving G independent
-/// groups keeps G chains in flight and hides that latency. G=4 (32 rows)
-/// measures ~3x the single-group kernel on Skylake-class cores.
-template <size_t G>
-__attribute__((target("avx2"))) inline void Avx2WalkGroups(
+/// Walks one 32-row block (kAvx2Groups lockstep groups of 8 rows, starting
+/// at row r0) down one tree and stores the 32 leaf indices. The gathers in
+/// one group's step form a serial dependency chain (~two gather latencies
+/// per level), so a single group leaves the load ports mostly idle and
+/// costs about twice the scalar lockstep walk; interleaving four
+/// independent groups keeps four chains in flight and hides that latency
+/// (~3x the single-group walk on Skylake-class cores).
+__attribute__((target("avx2"))) inline void Avx2WalkBlock(
     const CompiledForest::HotNode* nodes, const double* rows, size_t stride,
     size_t r0, int32_t root, int32_t depth, int32_t* leaf_out) {
   // Word-granular views of the 16-byte node records: index i * 4 reaches
@@ -304,6 +285,7 @@ __attribute__((target("avx2"))) inline void Avx2WalkGroups(
   const __m256 gzero_ps = _mm256_setzero_ps();
   const __m256d gzero_pd = _mm256_setzero_pd();
   const __m256d gall_pd = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  constexpr size_t G = kAvx2Groups;
   __m256i idx[G];
   __m256i rowoff[G];
   for (size_t g = 0; g < G; ++g) {
@@ -359,30 +341,22 @@ __attribute__((target("avx2"))) inline void Avx2WalkGroups(
 __attribute__((target("avx2")))
 void CompiledForest::PredictBatchAvx2(const double* rows, size_t num_rows,
                                       size_t stride, double* out) const {
-  // num_rows is a multiple of 8 (PredictBatchWith hands the remainder to
-  // the scalar kernel).
+  // num_rows is a multiple of kAvx2BlockRows (PredictBatchWith hands the
+  // remainder to the scalar kernel).
   for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
   const HotNode* nodes = nodes_.data();
-  // 4 interleaved groups of 8 = 32 rows in flight per tree.
-  constexpr size_t kGroups = 4;
   const size_t num_trees = roots_.size();
   for (size_t t = 0; t < num_trees; ++t) {
     const int32_t root = roots_[t];
     const int32_t depth = depths_[t];
-    alignas(32) int32_t leaf[8 * kGroups];
+    alignas(32) int32_t leaf[kAvx2BlockRows];
     for (size_t r = 0; r < num_rows;) {
-      size_t count = 8 * kGroups;
-      if (r + count <= num_rows) {
-        Avx2WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
-      } else {
-        count = 8;
-        Avx2WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
-      }
+      Avx2WalkBlock(nodes, rows, stride, r, root, depth, leaf);
       // Leaves evaluate scalar, per row in order: one mul + one add per
       // tree in the double domain (this file builds with
       // -ffp-contract=off), so each out[r] is bit-identical to the scalar
       // kernel and to Predict.
-      for (size_t k = 0; k < count; ++k, ++r) {
+      for (size_t k = 0; k < kAvx2BlockRows; ++k, ++r) {
         const size_t i = static_cast<size_t>(leaf[k]);
         const double* x = rows + r * stride;
         double v = value_[i];
@@ -394,128 +368,6 @@ void CompiledForest::PredictBatchAvx2(const double* rows, size_t num_rows,
     }
   }
 }
-// Unlike the AVX2 set, GCC 12's plain AVX-512 intrinsics (slli, the 512->
-// 256 casts, cvtps_pd) are themselves implemented over _mm512_undefined_*()
-// sources in avx512fintrin.h, so -Wmaybe-uninitialized fires inside the
-// system header with no masked-intrinsic workaround available at the call
-// site; suppress it for just this kernel.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-namespace {
-/// The AVX2 walk at 16-row lockstep. AVX-512 removes the two costs the
-/// 8-wide kernel pays per step: the compare produces a __mmask8 directly
-/// (no shuffle/permute packing of 64-bit compare results back into 32-bit
-/// lanes), and the child select is a single mask blend. G independent
-/// groups interleave for the same latency-hiding reason as in
-/// Avx2WalkGroups; with twice the rows per group, G=2 (32 rows) already
-/// keeps the gather ports saturated.
-template <size_t G>
-__attribute__((target("avx512f,avx512vl,avx512dq"))) inline void
-Avx512WalkGroups(const CompiledForest::HotNode* nodes, const double* rows,
-                 size_t stride, size_t r0, int32_t root, int32_t depth,
-                 int32_t* leaf_out) {
-  // Same word-granular node addressing as the AVX2 kernel: index i * 4
-  // reaches node i's feature; +1/+2 reach threshold and right.
-  const int* words = reinterpret_cast<const int*>(nodes);
-  const float* words_f = reinterpret_cast<const float*>(nodes);
-  const __m512i iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6,
-                                        5, 4, 3, 2, 1, 0);
-  const __m512i vstride = _mm512_set1_epi32(static_cast<int>(stride));
-  const __m512i ones = _mm512_set1_epi32(1);
-  // All-lanes masked gathers with zeroed sources: same codegen as the
-  // maskless forms, but without the undefined source operand GCC's
-  // -Wmaybe-uninitialized flags inside avx512fintrin.h (the AVX2 kernel
-  // applies the identical workaround).
-  const __mmask16 kall = static_cast<__mmask16>(0xffff);
-  const __mmask8 kall8 = static_cast<__mmask8>(0xff);
-  const __m512i gzero = _mm512_setzero_si512();
-  const __m512 gzero_ps = _mm512_setzero_ps();
-  const __m512d gzero_pd = _mm512_setzero_pd();
-  __m512i idx[G];
-  __m512i rowoff[G];
-  for (size_t g = 0; g < G; ++g) {
-    idx[g] = _mm512_set1_epi32(root);
-    rowoff[g] = _mm512_mullo_epi32(
-        _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(r0 + 16 * g)),
-                         iota),
-        vstride);
-  }
-  for (int32_t d = depth; d > 0; --d) {
-    for (size_t g = 0; g < G; ++g) {
-      const __m512i word = _mm512_slli_epi32(idx[g], 2);
-      const __m512i feat =
-          _mm512_mask_i32gather_epi32(gzero, kall, word, words, 4);
-      const __m512 thr =
-          _mm512_mask_i32gather_ps(gzero_ps, kall, word, words_f + 1, 4);
-      const __m512i right =
-          _mm512_mask_i32gather_epi32(gzero, kall, word, words + 2, 4);
-      // Per-row feature loads: offset = row * stride + feature, gathered
-      // as two 8-lane double halves off the 16 32-bit offsets.
-      const __m512i xoff = _mm512_add_epi32(rowoff[g], feat);
-      const __m512d x_lo = _mm512_mask_i32gather_pd(
-          gzero_pd, kall8, _mm512_castsi512_si256(xoff), rows, 8);
-      const __m512d x_hi = _mm512_mask_i32gather_pd(
-          gzero_pd, kall8, _mm512_extracti32x8_epi32(xoff, 1), rows, 8);
-      // Double-domain compare, exactly like the scalar walk: the float32
-      // threshold widens losslessly, and LE_OQ is false for the leaves'
-      // NaN thresholds and for NaN features — both take `right`.
-      const __m512d t_lo =
-          _mm512_cvtps_pd(_mm512_castps512_ps256(thr));
-      const __m512d t_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(thr, 1));
-      const __mmask8 le_lo = _mm512_cmp_pd_mask(x_lo, t_lo, _CMP_LE_OQ);
-      const __mmask8 le_hi = _mm512_cmp_pd_mask(x_hi, t_hi, _CMP_LE_OQ);
-      const __mmask16 le = static_cast<__mmask16>(
-          static_cast<unsigned>(le_lo) | (static_cast<unsigned>(le_hi) << 8));
-      const __m512i left = _mm512_add_epi32(idx[g], ones);
-      idx[g] = _mm512_mask_blend_epi32(le, right, left);
-    }
-  }
-  for (size_t g = 0; g < G; ++g) {
-    _mm512_storeu_si512(leaf_out + 16 * g, idx[g]);
-  }
-}
-}  // namespace
-
-__attribute__((target("avx512f,avx512vl,avx512dq")))
-void CompiledForest::PredictBatchAvx512(const double* rows, size_t num_rows,
-                                        size_t stride, double* out) const {
-  // num_rows is a multiple of 16 (PredictBatchWith hands the remainder to
-  // the scalar kernel), so no row ever leaves this function's ISA: a call
-  // into non-VEX SSE code from here would pay the SSE/AVX transition
-  // penalty per tree.
-  for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
-  const HotNode* nodes = nodes_.data();
-  // 2 interleaved groups of 16 = 32 rows in flight per tree, matching the
-  // AVX2 kernel's blocking so the two kernels see identical cache behavior.
-  constexpr size_t kGroups = 2;
-  const size_t num_trees = roots_.size();
-  for (size_t t = 0; t < num_trees; ++t) {
-    const int32_t root = roots_[t];
-    const int32_t depth = depths_[t];
-    alignas(64) int32_t leaf[16 * kGroups];
-    for (size_t r = 0; r < num_rows;) {
-      size_t count = 16 * kGroups;
-      if (r + count <= num_rows) {
-        Avx512WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
-      } else {
-        count = 16;
-        Avx512WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
-      }
-      // The avx512f target enables FMA; -ffp-contract=off on this file
-      // keeps the mul and add two roundings, as in the scalar kernel.
-      for (size_t k = 0; k < count; ++k, ++r) {
-        const size_t i = static_cast<size_t>(leaf[k]);
-        const double* x = rows + r * stride;
-        double v = value_[i];
-        if (lin_feature_[i] >= 0) {
-          v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
-        }
-        out[r] += learning_rate_ * v;
-      }
-    }
-  }
-}
-#pragma GCC diagnostic pop
 #endif  // RESEST_HAVE_AVX2_KERNEL
 
 }  // namespace resest

@@ -14,37 +14,34 @@
 // values and the linear-leaf fields stay in separate cold arrays, touched
 // once per tree per row.
 //
-// Batched traversal runs rows per tree in lockstep (8 scalar/AVX2, 16
-// AVX-512); the fixed-depth, self-looping walk has no data-dependent exit,
-// so the rows' load-compare chains overlap in the pipeline. Three kernels
-// implement it:
+// Batched traversal runs 8 rows per tree in lockstep; the fixed-depth,
+// self-looping walk has no data-dependent exit, so the rows' load-compare
+// chains overlap in the pipeline. Two kernels implement it:
 //
 //  - kScalar: portable unrolled lockstep, the fallback on any hardware.
 //  - kAvx2: x86 AVX2 gathers — per step, one 8-lane gather each for the
 //    split features, thresholds and right-child indices, plus two 4-lane
 //    double gathers for the feature values, then a predicated blend picks
-//    each row's next node. Compiled behind a function-level target
-//    attribute and selected at runtime (cpuid + RESEST_SIMD env override),
-//    so binaries built on/for non-AVX2 hosts still run the scalar path.
-//  - kAvx512: the same walk at 16-row lockstep (AVX-512 F/VL/DQ) — one
-//    16-lane word gather per node field, two 8-lane double gathers for the
-//    feature values, native _CMP_LE_OQ mask compares (no shuffle-based
-//    mask packing), and a mask blend for the child select. Same function-
-//    level target attribute + cpuid gating; preferred over kAvx2 when the
-//    CPU has it, overridable with RESEST_SIMD=avx512|avx2|scalar.
+//    each row's next node. Four 8-row groups interleave per tree, so the
+//    kernel walks 32-row blocks. Compiled behind a function-level target
+//    attribute and selected at runtime (cpuid; RESEST_SIMD=scalar pins
+//    kScalar), so binaries built on/for non-AVX2 hosts still run the scalar
+//    path.
 //
-// A vector kernel only ever sees whole lockstep groups: PredictBatchWith
-// hands it the first num_rows - num_rows % width rows and walks the
-// remainder with kScalar, so a batch narrower than one group never enters
-// vector code (and never pays its set-up or an ISA transition).
+// The AVX2 kernel only ever sees whole 32-row blocks: PredictBatchWith
+// hands it the first num_rows - num_rows % 32 rows and walks the remainder
+// with kScalar. A lone 8-row gather group is latency-bound and costs about
+// twice the scalar walk, so a batch narrower than one block never enters
+// vector code.
 //
 // Bit-identity contract: Predict and PredictBatch reproduce the legacy
 // per-tree scalar path (Mart::PredictReference) byte for byte — in EVERY
 // kernel. Comparisons happen in the double domain (the float32 threshold
 // is widened exactly), and each row's accumulation f0 + sum_i lr * tree_i(x)
-// runs scalar, in boosting order, with no FMA contraction (compiled_forest.cc
-// builds with -ffp-contract=off, because the AVX-512 target enables FMA);
-// the vector code only computes leaf indices, which are integers and either
+// runs scalar, in boosting order, with no FMA contraction
+// (compiled_forest.cc builds with -ffp-contract=off, so a build that
+// enables FMA, e.g. -march=native, cannot fuse the leaf mul and add); the
+// vector code only computes leaf indices, which are integers and either
 // exactly right or a bug. The oracle suites check every kernel against
 // PredictReference through PredictBatchWith, and RESEST_SIMD=scalar runs
 // them with the scalar reference-order kernel pinned.
@@ -63,31 +60,23 @@
 namespace resest {
 
 /// Traversal kernel identifiers; see ActiveKernel().
-enum class ForestKernel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class ForestKernel { kScalar = 0, kAvx2 = 1 };
 
 class CompiledForest {
  public:
-  /// Rows walked in lockstep per tree by the scalar and AVX2 kernels (the
-  /// AVX-512 kernel walks 16; see ActiveLockstepWidth()).
+  /// Rows walked in lockstep per tree by every kernel.
   static constexpr size_t kLockstepWidth = 8;
 
-  /// The kernel PredictBatch dispatches to, resolved once per process: the
-  /// widest of kAvx512 > kAvx2 > kScalar the CPU (and build) supports.
-  /// Overrides: RESEST_SIMD=scalar forces the fallback (bench
-  /// comparability, testing); RESEST_SIMD=avx2 / RESEST_SIMD=avx512
-  /// request that kernel but still fall back down the ladder when
-  /// unsupported.
+  /// The kernel PredictBatch dispatches to, resolved once per process:
+  /// kAvx2 when the CPU (and build) supports it, else kScalar.
+  /// RESEST_SIMD=scalar forces kScalar (bench comparability, testing); any
+  /// other value leaves the default.
   static ForestKernel ActiveKernel();
-  /// "avx512", "avx2", or "scalar".
+  /// "avx2" or "scalar".
   static const char* ActiveKernelName();
-  /// Rows per lockstep group of the active kernel: 16 for kAvx512, else 8.
-  static size_t ActiveLockstepWidth();
   /// True when this binary carries the AVX2 kernel and the CPU supports it
   /// (regardless of the RESEST_SIMD override).
   static bool Avx2Supported();
-  /// True when this binary carries the AVX-512 kernel and the CPU supports
-  /// AVX-512 F+VL+DQ (regardless of the RESEST_SIMD override).
-  static bool Avx512Supported();
 
   /// Flattens `trees` (the boosted sequence of a Mart) into the contiguous
   /// layout. Trees with no nodes compile to a single zero-value leaf, which
@@ -149,8 +138,6 @@ class CompiledForest {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   void PredictBatchAvx2(const double* rows, size_t num_rows, size_t stride,
                         double* out) const;
-  void PredictBatchAvx512(const double* rows, size_t num_rows, size_t stride,
-                          double* out) const;
 #endif
 
   double f0_ = 0.0;

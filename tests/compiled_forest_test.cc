@@ -221,17 +221,18 @@ TEST_F(EstimatorSweepTest, DeserializedEstimatorStaysBitIdentical) {
 
 // --- Kernel edge cases: every oddly-shaped batch a caller can legally ---
 // --- construct, through all kernels via the PredictBatchWith seam.     ---
-// On hosts without AVX2/AVX-512 the vector requests fall back to scalar
-// and those comparisons are trivially true — the suite still runs.
+// On hosts without AVX2 the vector requests fall back to scalar and those
+// comparisons are trivially true — the suite still runs.
 
-constexpr ForestKernel kAllKernels[] = {
-    ForestKernel::kScalar, ForestKernel::kAvx2, ForestKernel::kAvx512};
+constexpr ForestKernel kAllKernels[] = {ForestKernel::kScalar,
+                                        ForestKernel::kAvx2};
 
-// Row counts straddling both lockstep widths (8 and 16) and both kernels'
-// interleaved 32-row blocks (AVX2 4x8, AVX-512 2x16): empty, single-row,
-// exact multiples, one-off each side, and the AVX-512 32+16 boundary
-// (47/48/49). Every vector-groups-plus-scalar-remainder split must stay
-// bit-identical to the legacy reference walk.
+// Row counts straddling the 8-row lockstep width and the AVX2 kernel's
+// 32-row blocks: empty, single-row, exact multiples, one-off each side of
+// one, two and three blocks (31/32/33, 63/64/65, 95/96/97), and remainders
+// that fill scalar lockstep groups and leave a tail (47/48/49). Every
+// whole-blocks-plus-scalar-remainder split must stay bit-identical to the
+// legacy reference walk.
 TEST(CompiledForestEdgeTest, RowCountsAroundLockstepWidth) {
   for (const bool linear_leaves : {false, true}) {
     const size_t kFeatures = 5;
@@ -243,8 +244,9 @@ TEST(CompiledForestEdgeTest, RowCountsAroundLockstepWidth) {
     mart.Fit(train);
 
     Rng rng(17);
-    for (const size_t num_rows : {0u, 1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
-                                  32u, 33u, 47u, 48u, 49u, 65u}) {
+    for (const size_t num_rows :
+         {0u, 1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 47u, 48u, 49u,
+          63u, 64u, 65u, 95u, 96u, 97u}) {
       std::vector<double> matrix(num_rows * kFeatures);
       for (auto& v : matrix) v = rng.Uniform(-50.0, 4000.0);
       std::vector<double> out(num_rows, -1.0);
@@ -368,39 +370,26 @@ TEST(CompiledForestEdgeTest, LeafOnlyAndNodelessTreesAccumulateConstants) {
   }
 }
 
-// The dispatch ladder and its names stay consistent: the active kernel is
-// one of the three, its name matches, and the lockstep width it reports is
-// the width the kernels actually walk (16 only for AVX-512).
+// The dispatch and its names stay consistent: the active kernel is one of
+// the two, its name matches, and kAvx2 is active only where supported.
 TEST(CompiledForestDispatchTest, ActiveKernelNameAndWidthAgree) {
   const ForestKernel active = CompiledForest::ActiveKernel();
   const std::string name = CompiledForest::ActiveKernelName();
   switch (active) {
-    case ForestKernel::kAvx512:
-      EXPECT_TRUE(CompiledForest::Avx512Supported());
-      EXPECT_EQ(name, "avx512");
-      EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 16u);
-      break;
     case ForestKernel::kAvx2:
       EXPECT_TRUE(CompiledForest::Avx2Supported());
-      EXPECT_TRUE(name == "avx2");
-      EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 8u);
+      EXPECT_EQ(name, "avx2");
       break;
     case ForestKernel::kScalar:
       EXPECT_EQ(name, "scalar");
-      EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 8u);
       break;
-  }
-  // AVX-512 support implies AVX2 support on every real CPU; the dispatch
-  // ladder relies on that ordering.
-  if (CompiledForest::Avx512Supported()) {
-    EXPECT_TRUE(CompiledForest::Avx2Supported());
   }
 }
 
-// Direct AVX-512-vs-reference oracle over a large random batch (on hosts
-// without AVX-512 the request falls back to scalar and the test still
+// Direct AVX2-vs-reference oracle over a large random batch (on hosts
+// without AVX2 the request falls back to scalar and the test still
 // verifies the fallback): every row bit-identical, both tree flavors.
-TEST(CompiledForestDispatchTest, Avx512MatchesReferenceBitwise) {
+TEST(CompiledForestDispatchTest, Avx2MatchesReferenceBitwise) {
   for (const bool linear_leaves : {false, true}) {
     const size_t kFeatures = 7;
     Dataset train = MakeData(2000, kFeatures, 313);
@@ -415,7 +404,7 @@ TEST(CompiledForestDispatchTest, Avx512MatchesReferenceBitwise) {
     std::vector<double> matrix(kRows * kFeatures);
     for (auto& v : matrix) v = rng.Uniform(-200.0, 6000.0);
     std::vector<double> out(kRows, -1.0);
-    mart.compiled().PredictBatchWith(ForestKernel::kAvx512, matrix.data(),
+    mart.compiled().PredictBatchWith(ForestKernel::kAvx2, matrix.data(),
                                      kRows, kFeatures, out.data());
     for (size_t i = 0; i < kRows; ++i) {
       std::vector<double> row(matrix.begin() + i * kFeatures,
