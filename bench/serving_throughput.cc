@@ -277,7 +277,7 @@ RefitScenario MeasureRefitUnderLoad(
   const auto refit_start = std::chrono::steady_clock::now();
   const uint64_t bulk_at_start = bulk_served.load();
   std::thread refitter([&]() {
-    delta = trainer.RefitAndPublish(&registry, "default", &service);
+    delta = trainer.RefitAndPublish(&registry, "default");
     refit_done.store(true, std::memory_order_release);
   });
 

@@ -255,13 +255,13 @@ int main() {
   // The executed queue streamed into the observation logs as it ran; now
   // retrain only the (operator, resource) slots whose logs crossed the
   // policy — on this same pool at kBulk, under whatever traffic is live —
-  // and hot-swap the delta. InvalidateOperators scopes the cache work to
-  // the refitted slots (a no-op here with the cache disabled).
+  // and hot-swap the delta. Only the refitted slots get a new version, so
+  // only their cache entries stop matching (the cache is disabled here).
   std::printf(
       "\n== feedback loop: refit drifted operators, delta-publish ==\n");
   std::printf("pending observations: %zu rows across the per-operator logs\n",
               trainer.TotalPendingRows());
-  const auto refit = trainer.RefitAndPublish(&registry, "admission", &service);
+  const auto refit = trainer.RefitAndPublish(&registry, "admission");
   if (!refit) {
     std::printf("no slot crossed the refit policy; nothing republished\n");
     return 0;

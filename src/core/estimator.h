@@ -43,9 +43,10 @@ struct TrainOptions {
 /// layer (src/serving/) relies on this to share one estimator across a
 /// worker pool without locking. Keep it that way: no caches inside const
 /// methods, synchronized or not. Memoization belongs in the serving layer
-/// (src/serving/estimate_cache.h), where entries are keyed by model version
-/// and invalidated on hot-swap; a cache hidden inside the estimator could
-/// not be version-keyed and would silently survive a registry publish.
+/// (src/serving/estimate_cache.h), where entries are keyed by the registry's
+/// per-slot version, so a publish that changes a slot makes its entries
+/// stop matching; a cache hidden inside the estimator could not be
+/// version-keyed and would silently survive a registry publish.
 ///
 /// The same contract covers the compiled inference representation: every
 /// Mart's CompiledForest (the contiguous SoA tree layout all prediction,

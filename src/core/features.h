@@ -25,7 +25,8 @@ const char* ResourceName(Resource r);
 bool ParseResource(const std::string& name, Resource* out);
 
 /// One (operator type, resource) model slot of a ResourceEstimator — the
-/// unit of incremental retraining and of scoped (delta) cache invalidation.
+/// unit of incremental retraining and of the serving cache's slot-version
+/// key.
 using ModelSlotId = std::pair<OpType, Resource>;
 inline constexpr size_t kNumModelSlots =
     static_cast<size_t>(kNumOpTypes) * static_cast<size_t>(kNumResources);

@@ -181,10 +181,6 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
   w.BeginFamily("resest_cache_evictions_total",
                 "Estimate cache entries dropped by the LRU bound.", "counter");
   w.Sample("resest_cache_evictions_total", {}, s.cache_evictions);
-  w.BeginFamily("resest_cache_invalidated_total",
-                "Estimate cache entries dropped by scoped invalidation.",
-                "counter");
-  w.Sample("resest_cache_invalidated_total", {}, snapshot.cache.invalidated);
   w.BeginFamily("resest_cache_entries", "Estimate cache current size.",
                 "gauge");
   w.Sample("resest_cache_entries", {}, static_cast<uint64_t>(s.cache_entries));

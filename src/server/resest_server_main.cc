@@ -450,8 +450,8 @@ int main(int argc, char** argv) {
   if (!flags.data_dir.empty()) {
     // Every answered /v1/observe row is in its tenant's WAL already
     // (append-before-memory under the log mutex); the drain makes it all
-    // immutable: checkpoint the models + coverage, then fsync + seal the
-    // active files.
+    // immutable: save the models, then append one coverage marker, fsync
+    // and seal the active files.
     const bool drained = tenants.DrainAll();
     if (!drained) {
       std::fprintf(stderr, "resest_server: drain checkpoint failed\n");

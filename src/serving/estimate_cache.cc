@@ -16,7 +16,7 @@ EstimateCache::EstimateCache(EstimateCacheOptions options) {
 
 uint64_t EstimateCache::HashKey(const Key& k) {
   uint64_t h = HashFeatureVector(k.features);
-  h ^= k.model_version + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  h ^= k.slot_version + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   h ^= (static_cast<uint64_t>(k.op) << 8 |
         static_cast<uint64_t>(k.resource)) +
        0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -24,7 +24,7 @@ uint64_t EstimateCache::HashKey(const Key& k) {
 }
 
 bool EstimateCache::KeysEqual(const Key& a, const Key& b) {
-  return a.model_version == b.model_version && a.op == b.op &&
+  return a.slot_version == b.slot_version && a.op == b.op &&
          a.resource == b.resource &&
          FeatureVectorHashEqual(a.features, b.features);
 }
@@ -47,8 +47,6 @@ void EstimateCache::EraseLocked(Shard& shard, EntryList::iterator node) {
       break;
     }
   }
-  shard.by_slot[SlotIndex(node->key.op, node->key.resource)].erase(
-      node->slot_pos);
   shard.lru.erase(node);
 }
 
@@ -79,39 +77,12 @@ void EstimateCache::Insert(const Key& key, double value) {
     shard.lru.splice(shard.lru.begin(), shard.lru, node);
     return;
   }
-  shard.lru.emplace_front(Entry{key, value, {}});
-  SlotList& slot = shard.by_slot[SlotIndex(key.op, key.resource)];
-  slot.push_front(shard.lru.begin());
-  shard.lru.begin()->slot_pos = slot.begin();
+  shard.lru.emplace_front(Entry{key, value});
   shard.map.emplace(hash, shard.lru.begin());
   ++shard.insertions;
   if (shard.map.size() > shard_capacity_) {
     EraseLocked(shard, std::prev(shard.lru.end()));
     ++shard.evictions;
-  }
-}
-
-void EstimateCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    for (SlotList& slot : shard->by_slot) slot.clear();
-    shard->lru.clear();
-  }
-}
-
-void EstimateCache::EvictOperators(const std::vector<ModelSlotId>& ops) {
-  if (ops.empty()) return;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [op, resource] : ops) {
-      SlotList& slot = shard->by_slot[SlotIndex(op, resource)];
-      while (!slot.empty()) {
-        ++shard->invalidate_visited;
-        EraseLocked(*shard, slot.front());
-        ++shard->invalidated;
-      }
-    }
   }
 }
 
@@ -126,16 +97,12 @@ EstimateCacheStats EstimateCache::stats() const {
       slice.misses = shard->misses;
       slice.insertions = shard->insertions;
       slice.evictions = shard->evictions;
-      slice.invalidated = shard->invalidated;
-      slice.invalidate_visited = shard->invalidate_visited;
       slice.entries = shard->map.size();
     }
     s.hits += slice.hits;
     s.misses += slice.misses;
     s.insertions += slice.insertions;
     s.evictions += slice.evictions;
-    s.invalidated += slice.invalidated;
-    s.invalidate_visited += slice.invalidate_visited;
     s.entries += slice.entries;
     s.shards.push_back(slice);
   }

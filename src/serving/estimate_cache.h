@@ -4,10 +4,18 @@
 // (operator, feature-vector) pair recurs across thousands of candidate
 // plans in one optimization session. Model inference is deterministic, so
 // the service memoizes it across requests under the key
-//   (model_version, operator type, resource, feature vector)
-// Keying by model version makes invalidation automatic: a ModelRegistry
-// hot-swap changes the version, every stale entry stops matching, and the
-// per-shard LRU bound reclaims the dead entries under insertion pressure.
+//   (slot version, operator type, resource, feature vector)
+// where the slot version is the registry version at which that (operator,
+// resource) model slot last changed (ModelSnapshot::SlotVersion). The key
+// is the cache's only invalidation: a publish that changes a slot stamps it
+// with a new version, every stale entry of that slot stops matching, and
+// the per-shard LRU bound reclaims the dead entries under insertion
+// pressure. A dead entry is never touched again, so it only sinks to its
+// shard's LRU tail. A delta publish leaves untouched slots' versions alone,
+// so their entries keep hitting across the swap. Correctness rests on
+// slot versions never being reused for other content within one registry
+// (ModelRegistry mints each version once; PublishFromFile adopts a saved
+// lineage only when it cannot collide).
 //
 // Entries hold the exact double produced by
 // ResourceEstimator::EstimateFromFeatures, so a hit is bit-identical to
@@ -20,7 +28,6 @@
 #ifndef RESEST_SERVING_ESTIMATE_CACHE_H_
 #define RESEST_SERVING_ESTIMATE_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -56,12 +63,6 @@ struct EstimateCacheShardStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;  ///< Entries dropped by the shard's LRU bound.
-  uint64_t invalidated = 0;  ///< Entries dropped by scoped EvictOperators.
-  /// Entries EvictOperators examined while holding the shard mutex. The
-  /// per-slot index makes this equal `invalidated` (only matching entries
-  /// are ever visited); a regression back to a full LRU scan shows up as
-  /// visited >> invalidated, which tests/estimate_cache_test.cc pins.
-  uint64_t invalidate_visited = 0;
   size_t entries = 0;      ///< Current size (point-in-time, not monotonic).
 
   double HitRate() const { return CacheHitRate(hits, misses); }
@@ -74,20 +75,18 @@ struct EstimateCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;  ///< Entries dropped by the LRU bound.
-  uint64_t invalidated = 0;  ///< Entries dropped by scoped EvictOperators.
-  uint64_t invalidate_visited = 0;  ///< Entries examined by EvictOperators.
   size_t entries = 0;      ///< Current size (point-in-time, not monotonic).
   std::vector<EstimateCacheShardStats> shards;
 
   double HitRate() const { return CacheHitRate(hits, misses); }
 };
 
-/// Thread-safe sharded LRU map from (model_version, op, resource, features)
+/// Thread-safe sharded LRU map from (slot version, op, resource, features)
 /// to a memoized per-operator estimate.
 class EstimateCache {
  public:
   struct Key {
-    uint64_t model_version = 0;
+    uint64_t slot_version = 0;
     OpType op = OpType::kTableScan;
     Resource resource = Resource::kCpu;
     FeatureVector features{};
@@ -102,49 +101,18 @@ class EstimateCache {
   /// entry when the shard is at its bound.
   void Insert(const Key& key, double value);
 
-  /// Drops every entry (counters are retained). Used when the service
-  /// observes a *full* model hot-swap: version keying already guarantees
-  /// stale entries never hit, Clear just reclaims their space immediately.
-  void Clear();
-
-  /// Scoped invalidation for a delta publish: drops only entries whose
-  /// (op, resource) is in `ops`, across all versions — the refitted slots'
-  /// old entries are the only ones a delta makes dead, so every other
-  /// operator's entries survive (and keep hitting, since their slot-version
-  /// keys are unchanged across the swap). Counters are retained; dropped
-  /// entries count under `invalidated`, not `evictions`.
-  ///
-  /// Cost: O(matching entries) per shard, via the per-slot membership index
-  /// — the shard mutex is held only long enough to unlink the refitted
-  /// slots' own entries, so a wide delta refit cannot stall concurrent
-  /// urgent Lookups behind a full LRU scan.
-  void EvictOperators(const std::vector<ModelSlotId>& ops);
-
   EstimateCacheStats stats() const;
   size_t capacity() const { return shard_capacity_ * shards_.size(); }
 
  private:
-  struct Entry;
-  using EntryList = std::list<Entry>;
-  /// Per-(op, resource) membership list: iterators into the shard's LRU.
-  using SlotList = std::list<EntryList::iterator>;
-
-  /// One cached estimate. Besides the key/value it carries its position in
-  /// the owning shard's per-slot membership list, so unlinking on LRU
-  /// eviction stays O(1) and scoped invalidation never scans non-matching
-  /// entries.
   struct Entry {
     Key key;
     double value = 0.0;
-    SlotList::iterator slot_pos{};
   };
+  using EntryList = std::list<Entry>;
 
   static uint64_t HashKey(const Key& k);
   static bool KeysEqual(const Key& a, const Key& b);
-  static size_t SlotIndex(OpType op, Resource resource) {
-    return static_cast<size_t>(op) * static_cast<size_t>(kNumResources) +
-           static_cast<size_t>(resource);
-  }
 
   struct Shard {
     std::mutex mu;
@@ -154,23 +122,19 @@ class EstimateCache {
     /// hash collisions are resolved by KeysEqual against the list node, so
     /// each full Key is stored exactly once (in the LRU node).
     std::unordered_multimap<uint64_t, EntryList::iterator> map;
-    /// Entries grouped by (op, resource) — the EvictOperators index.
-    std::array<SlotList, kNumModelSlots> by_slot;
     // Counters live with the shard (guarded by `mu`, which Lookup/Insert
     // already hold) so stats can report the per-shard traffic breakdown.
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
-    uint64_t invalidated = 0;
-    uint64_t invalidate_visited = 0;
   };
 
   /// The list iterator under (hash, key) in this shard, or lru.end().
   static EntryList::iterator FindLocked(Shard& shard, uint64_t hash,
                                         const Key& key);
-  /// Unlinks `node` from the hash map and its slot list, then erases it
-  /// from the LRU. Caller holds the shard mutex and accounts the removal.
+  /// Unlinks `node` from the hash map, then erases it from the LRU. Caller
+  /// holds the shard mutex and accounts the removal.
   static void EraseLocked(Shard& shard, EntryList::iterator node);
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -126,62 +126,12 @@ void EstimationService::ReleaseInflight() const {
   if (--inflight_ == 0) inflight_idle_.notify_all();
 }
 
-void EstimationService::NoteServedVersion(uint64_t version) const {
-  // Slot-version-keyed entries from an older model can never be hit again
-  // after a hot-swap; clearing on the first request served from the new
-  // version reclaims their space at once instead of waiting for LRU
-  // pressure. Only a version *increase* acts: an in-flight batch still
-  // serving the old snapshot (or a rollback via Activate) must not wipe
-  // fresh entries — ping-ponging Clears would effectively disable the
-  // cache, while stale entries are merely capacity pressure the LRU bound
-  // already handles. A swap registered as a delta (InvalidateOperators)
-  // skips the Clear entirely: the only dead entries it created — the
-  // refitted slots' — were evicted at registration, and every other
-  // operator's entries are still live under their unchanged slot versions.
-  uint64_t prev = served_version_.load(std::memory_order_relaxed);
-  while (prev < version) {
-    if (served_version_.compare_exchange_weak(prev, version,
-                                              std::memory_order_relaxed)) {
-      if (prev == 0) return;
-      bool scoped = false;
-      {
-        std::lock_guard<std::mutex> lock(scoped_mu_);
-        for (auto it = scoped_versions_.begin();
-             it != scoped_versions_.end();) {
-          if (*it == version) scoped = true;
-          it = *it <= version ? scoped_versions_.erase(it) : std::next(it);
-        }
-      }
-      if (!scoped) cache_->Clear();
-      return;
-    }
-  }
-}
-
-void EstimationService::InvalidateOperators(
-    uint64_t version, const std::vector<ModelSlotId>& ops) {
-  if (cache_ == nullptr) return;
-  cache_->EvictOperators(ops);
-  std::lock_guard<std::mutex> lock(scoped_mu_);
-  if (version <= served_version_.load(std::memory_order_relaxed)) {
-    // The swap was already observed (a request raced this call and took the
-    // conservative full Clear); a stale mark would wrongly scope some
-    // *future* unrelated swap to this delta.
-    return;
-  }
-  scoped_versions_.push_back(version);
-  if (scoped_versions_.size() > 8) {
-    scoped_versions_.erase(scoped_versions_.begin());
-  }
-}
-
 void EstimationService::EstimateChunk(const ModelSnapshot& snapshot,
                                       const EstimateRequest* requests,
                                       size_t count, EstimateResult* results,
                                       Arena* scratch) const {
   const ResourceEstimator& estimator = *snapshot.estimator;
   const FeatureMode mode = estimator.mode();
-  if (cache_ != nullptr) NoteServedVersion(snapshot.version);
 
   // Each request's estimate is an ordered sum of per-operator terms (one
   // term for operator payloads). Pass 1 counts them so every scratch array
@@ -232,7 +182,7 @@ void EstimationService::EstimateChunk(const ModelSnapshot& snapshot,
     const auto resolve = [&](OpType op, const FeatureVector* features) {
       if (cache_ != nullptr) {
         EstimateCache::Key key;
-        key.model_version = snapshot.SlotVersion(op, resource);
+        key.slot_version = snapshot.SlotVersion(op, resource);
         key.op = op;
         key.resource = resource;
         key.features = *features;
@@ -312,7 +262,7 @@ void EstimationService::EstimateChunk(const ModelSnapshot& snapshot,
       values[row_term[p]] = sweep_out[p];
       if (cache_ != nullptr) {
         EstimateCache::Key key;
-        key.model_version = snapshot.SlotVersion(op, resource);
+        key.slot_version = snapshot.SlotVersion(op, resource);
         key.op = op;
         key.resource = resource;
         key.features = *rows[p];

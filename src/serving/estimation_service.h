@@ -122,7 +122,7 @@ struct ServiceOptions {
   /// Batches of at most kInlineBatchMaxItems work items are always one
   /// chunk, run on the submitting thread, whatever this is set to.
   size_t chunk_size = 0;
-  /// Cross-request (model_version, op, resource, features) estimate cache.
+  /// Cross-request (slot version, op, resource, features) estimate cache.
   bool enable_cache = true;
   size_t cache_capacity = 64 * 1024;  ///< Entries, across all shards.
   size_t cache_shards = 16;
@@ -258,22 +258,6 @@ class EstimationService {
   void SubmitBatch(std::vector<EstimateRequest> requests, BatchCallback done,
                    const SubmitOptions& submit_options = {}) const;
 
-  /// Scopes the cache work of an upcoming (or just-performed) hot-swap to a
-  /// delta publish: `version` is the newly published registry version and
-  /// `ops` the (op, resource) slots it refitted. The refitted slots' now-
-  /// dead entries are evicted immediately, and when the service first
-  /// serves `version` it skips the full Clear it would otherwise perform —
-  /// entries for untouched operators survive the swap and keep hitting
-  /// (their keys carry per-slot versions, which a delta leaves unchanged;
-  /// see ModelSnapshot::SlotVersion). Correctness never depends on this
-  /// call: slot-version keying alone guarantees stale entries cannot hit —
-  /// invalidation scope only decides how much live cache a swap preserves.
-  /// Call it right after ModelRegistry::PublishDelta, before traffic is
-  /// served from the new version (a request racing the call may still
-  /// trigger the conservative full Clear).
-  void InvalidateOperators(uint64_t version,
-                           const std::vector<ModelSlotId>& ops);
-
   /// The chunk size a batch of `batch_size` requests at `priority` will be
   /// split with: options().chunk_size when non-zero, otherwise the adaptive
   /// policy (~3 chunks per pool worker, clamped to a per-lane cap — urgent
@@ -318,8 +302,6 @@ class EstimationService {
   void EstimateChunk(const ModelSnapshot& snapshot,
                      const EstimateRequest* requests, size_t count,
                      EstimateResult* results, Arena* scratch) const;
-  /// Drops stale cache space when the active model version changes.
-  void NoteServedVersion(uint64_t version) const;
 
   /// Builds a batch state delivering to `done`; `results` pre-filled for
   /// degenerate batches (empty, oversized, expired-at-submit, no model).
@@ -361,14 +343,6 @@ class EstimationService {
   mutable std::atomic<uint64_t> rejected_batches_{0};
   mutable std::atomic<uint64_t> errors_{0};
   mutable std::atomic<uint64_t> deadline_expired_{0};
-  mutable std::atomic<uint64_t> served_version_{0};
-
-  /// Versions whose swap was scoped by InvalidateOperators: serving one of
-  /// these for the first time skips the full cache Clear (the delta's dead
-  /// entries were already evicted). Bounded; stale marks are pruned as the
-  /// served version advances past them.
-  mutable std::mutex scoped_mu_;
-  mutable std::vector<uint64_t> scoped_versions_;
 
   /// Per-priority accounting, aggregated into ServiceStats::priorities.
   struct LaneCounters {

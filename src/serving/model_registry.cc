@@ -126,19 +126,28 @@ uint64_t ModelRegistry::PublishFromFile(const std::string& name,
   // Restore the delta lineage sidecar when present: the model is published
   // at a version >= every saved slot version (version numbering resumes
   // across the restart), so inherited slot versions never collide with
-  // versions this registry mints later.
+  // versions this registry mints later. The saved versions must not collide
+  // with versions it has already minted either: the serving cache keys
+  // entries by slot version, so a reused number would serve another
+  // model's estimates. A lineage reaching below next_version_ is therefore
+  // dropped, and the model is full-stamped at its new version instead.
   uint64_t saved_version = 0;
   auto slots = std::make_shared<SlotVersionMap>();
-  if (ReadLineageFile(LineagePath(path), &saved_version, slots.get())) {
-    uint64_t max_slot = saved_version;
-    for (const auto& per_op : *slots) {
-      for (uint64_t v : per_op) max_slot = std::max(max_slot, v);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    return PublishLocked(name, std::move(estimator), std::move(slots),
-                         max_slot, {});
+  if (!ReadLineageFile(LineagePath(path), &saved_version, slots.get())) {
+    return Publish(name, std::move(estimator));
   }
-  return Publish(name, std::move(estimator));
+  uint64_t min_slot = saved_version;
+  uint64_t max_slot = saved_version;
+  for (const auto& per_op : *slots) {
+    for (uint64_t v : per_op) {
+      min_slot = std::min(min_slot, v);
+      max_slot = std::max(max_slot, v);
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (min_slot < next_version_) slots = nullptr;
+  return PublishLocked(name, std::move(estimator), std::move(slots), max_slot,
+                       {});
 }
 
 bool ModelRegistry::SaveActive(const std::string& name,

@@ -78,12 +78,16 @@ class ModelRegistry {
   /// Loads a model store written by SaveActive (or
   /// ResourceEstimator::SaveToFile) and publishes it — how a restarted
   /// server comes back without retraining. If a `<path>.lineage` sidecar
-  /// (written by SaveActive) is present and valid, the saved delta lineage
-  /// and version numbering are restored too: the model is republished at a
-  /// version no smaller than any saved slot version, so lineage versions
-  /// stay unique within the restarted registry and a resumed incremental
-  /// trainer can keep delta-publishing mid-stream. Returns 0 on a missing
-  /// or corrupt model file; the active version is untouched on failure.
+  /// (written by SaveActive) is present and valid, version numbering
+  /// resumes there: the model is republished at a version no smaller than
+  /// any saved slot version. The saved delta lineage itself is adopted only
+  /// when every saved slot version is at least the next version this
+  /// registry would mint, i.e. none of them can name other content here;
+  /// otherwise the model is full-stamped at its new version. Either way
+  /// lineage versions stay unique within the registry, and a resumed
+  /// incremental trainer can keep delta-publishing mid-stream. Returns 0 on
+  /// a missing or corrupt model file; the active version is untouched on
+  /// failure.
   uint64_t PublishFromFile(const std::string& name, const std::string& path);
 
   /// Persists the active version of `name` as `<dir>/<name>.model`

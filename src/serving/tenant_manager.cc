@@ -154,9 +154,9 @@ size_t TenantManager::RefitTenants() {
   size_t published = 0;
   for (auto& tenant : tenants_) {
     if (tenant->trainer == nullptr) continue;
-    const auto result = tenant->trainer->RefitAndPublish(
-        registry_, tenant->model_name, tenant->service.get());
-    if (result) ++published;
+    if (tenant->trainer->RefitAndPublish(registry_, tenant->model_name)) {
+      ++published;
+    }
   }
   return published;
 }
@@ -165,8 +165,10 @@ bool TenantManager::DrainAll() {
   bool ok = true;
   for (auto& tenant : tenants_) {
     if (tenant->trainer == nullptr) continue;
-    if (!tenant->trainer->Checkpoint(*registry_, tenant->model_name,
-                                     LogDir(tenant->id))) {
+    // DrainWal appends the coverage marker, fsyncs and seals; only the
+    // model store remains to save (a full Checkpoint would append and fsync
+    // a second, identical marker).
+    if (!registry_->SaveActive(tenant->model_name, LogDir(tenant->id))) {
       ok = false;
     }
     if (!tenant->trainer->DrainWal()) ok = false;

@@ -172,13 +172,16 @@ class TenantManager {
   /// Returns the default tenant's version, 0 if it has none.
   uint64_t PublishToAll(std::shared_ptr<const ResourceEstimator> estimator);
 
-  /// RefitAndPublish every durable tenant against its own model name and
-  /// service (one tenant's publish invalidates only its own cache). Returns
-  /// how many tenants actually published a delta.
+  /// RefitAndPublish every durable tenant against its own model name (its
+  /// refitted slots get new versions, so only its own cache entries for
+  /// them stop matching). Returns how many tenants actually published a
+  /// delta.
   size_t RefitTenants();
 
-  /// Drain hook: Checkpoint + seal every durable tenant's WAL. False if
-  /// any tenant failed (all are still attempted).
+  /// Drain hook: saves each durable tenant's active model
+  /// (ModelRegistry::SaveActive), then DrainWal appends one checkpoint
+  /// marker, fsyncs and seals its WAL. False if any tenant failed (all are
+  /// still attempted).
   bool DrainAll();
 
   /// The heartbeat/aging sweep body (hang it off

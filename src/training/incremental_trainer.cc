@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/common/serial.h"
-#include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
 
 namespace resest {
@@ -435,8 +434,7 @@ uint64_t IncrementalTrainer::PublishBaseline(ModelRegistry* registry,
 }
 
 IncrementalTrainer::RefitResult IncrementalTrainer::RefitAndPublish(
-    ModelRegistry* registry, const std::string& name,
-    EstimationService* service) {
+    ModelRegistry* registry, const std::string& name) {
   // Hold refit_mu_ across refit *and* publish: a second publisher must see
   // this delta's version as its base, or its lineage would stamp our
   // refitted slots as unchanged-since-an-older-version and stale cache
@@ -449,7 +447,7 @@ IncrementalTrainer::RefitResult IncrementalTrainer::RefitAndPublish(
   }
   RefitResult result = RefitLocked(false);
   if (!result) return result;
-  // Stamp and invalidate every slot that diverged from the published base
+  // Stamp every slot that diverged from the published base
   // — this round's refits plus any earlier unpublished RefitAffected/
   // RefitAll rounds (unpublished_refits_ accumulated them), which the
   // delta's estimator also carries.
@@ -460,9 +458,6 @@ IncrementalTrainer::RefitResult IncrementalTrainer::RefitAndPublish(
   }
   result.version =
       registry->PublishDelta(name, result.estimator, published_base, diverged);
-  if (service != nullptr) {
-    service->InvalidateOperators(result.version, diverged);
-  }
   std::lock_guard<std::mutex> lock(mu_);
   base_version_ = result.version;
   if (wal_ != nullptr) {

@@ -5,9 +5,10 @@
 // TaskPriority::kBulk, so serving traffic is never displaced. The result is
 // published as a *delta*: a new ResourceEstimator that shares (by
 // shared_ptr) every untouched model set — compiled forests included — with
-// its predecessor, pushed through ModelRegistry::PublishDelta plus
-// EstimationService::InvalidateOperators so cache entries for unaffected
-// operators survive the hot-swap.
+// its predecessor, pushed through ModelRegistry::PublishDelta, which stamps
+// only the refitted slots with the new version; serving-cache entries are
+// keyed by slot version, so those of unaffected operators survive the
+// hot-swap with no further call.
 //
 // Memory: each slot's log is a bounded window of the newest rows plus a
 // deterministic reservoir summarizing everything evicted from it, and a
@@ -54,7 +55,6 @@
 
 namespace resest {
 
-class EstimationService;
 class ModelRegistry;
 
 /// When a slot's observation log has accumulated enough to refit: a
@@ -186,14 +186,12 @@ class IncrementalTrainer {
   /// the version, 0 if there is no baseline.
   uint64_t PublishBaseline(ModelRegistry* registry, const std::string& name);
 
-  /// RefitAffected + ModelRegistry::PublishDelta + (optionally)
-  /// EstimationService::InvalidateOperators, in that order — the complete
-  /// observe -> refit -> republish step. Below-threshold refits publish
-  /// nothing and leave the registry untouched. When durable, the published
-  /// coverage is recorded in the WAL (refit markers + fsync) so a restart
-  /// does not re-refit work the published model already represents.
-  RefitResult RefitAndPublish(ModelRegistry* registry, const std::string& name,
-                              EstimationService* service = nullptr);
+  /// RefitAffected + ModelRegistry::PublishDelta — the complete observe ->
+  /// refit -> republish step. Below-threshold refits publish nothing and
+  /// leave the registry untouched. When durable, the published coverage is
+  /// recorded in the WAL (refit markers + fsync) so a restart does not
+  /// re-refit work the published model already represents.
+  RefitResult RefitAndPublish(ModelRegistry* registry, const std::string& name);
 
   /// Adopts an externally obtained baseline without touching the logs.
   /// CAUTION: a refit trains each slot from its cumulative log *only* — the
@@ -325,7 +323,7 @@ class IncrementalTrainer {
   std::shared_ptr<const ResourceEstimator> base_;
   uint64_t base_version_ = 0;
   /// Slots refitted since base_version_ was last published. A publish must
-  /// stamp (and invalidate) every slot that diverged from the published
+  /// stamp with its new version every slot that diverged from the published
   /// base — including ones refitted by earlier unpublished RefitAffected/
   /// RefitAll rounds — or stale cache entries could hit under an
   /// unchanged-looking slot version.

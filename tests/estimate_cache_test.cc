@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -70,7 +71,7 @@ TEST(FeatureVectorHashTest, BitwiseSemanticsForZeroAndNan) {
 
 EstimateCache::Key MakeKey(uint64_t version, double distinguishing_value) {
   EstimateCache::Key key;
-  key.model_version = version;
+  key.slot_version = version;
   key.op = OpType::kHashJoin;
   key.resource = Resource::kCpu;
   key.features.fill(0.0);
@@ -207,178 +208,55 @@ TEST(EstimateCacheTest, SkewedKeyTrafficLandsOnOneShard) {
   EXPECT_EQ(stats.hits, 100u);
 }
 
-EstimateCache::Key MakeSlotKey(OpType op, Resource resource, double value) {
-  EstimateCache::Key key;
-  key.model_version = 1;
-  key.op = op;
-  key.resource = resource;
-  key.features.fill(0.0);
-  key.features[0] = value;
-  return key;
-}
-
-TEST(EstimateCacheTest, EvictOperatorsDropsOnlyMatchingSlots) {
+TEST(EstimateCacheTest, DeadVersionEntriesCostNothingAfterASwap) {
+  // Slot-version keying is the cache's only invalidation: entries of a
+  // replaced version never hit and are never touched again, so they sink
+  // below every live entry and the LRU bound evicts them first. A cache
+  // that served version 1 must therefore answer a version-2 trace with the
+  // same hits and misses, shard by shard, as a fresh cache fed that trace.
   EstimateCacheOptions options;
+  options.capacity = 64;
   options.shards = 4;
-  EstimateCache cache(options);
-  // A mixed population across three slots; the kSort/kCpu slot also gets
-  // entries under two versions (scoped eviction must drop all versions of
-  // a refitted slot — every one of them is dead after the refit).
-  for (int i = 0; i < 16; ++i) {
-    cache.Insert(MakeSlotKey(OpType::kSort, Resource::kCpu, i), 1.0);
-    cache.Insert(MakeSlotKey(OpType::kSort, Resource::kIo, i), 2.0);
-    cache.Insert(MakeSlotKey(OpType::kHashJoin, Resource::kCpu, i), 3.0);
-  }
-  auto old_version = MakeSlotKey(OpType::kSort, Resource::kCpu, 99.0);
-  old_version.model_version = 7;
-  cache.Insert(old_version, 4.0);
-  ASSERT_EQ(cache.stats().entries, 49u);
-
-  cache.EvictOperators({{OpType::kSort, Resource::kCpu}});
-
-  const EstimateCacheStats stats = cache.stats();
-  // Exactly the 17 kSort/kCpu entries dropped, accounted as scoped
-  // invalidations — LRU eviction counters untouched.
-  EXPECT_EQ(stats.entries, 32u);
-  EXPECT_EQ(stats.invalidated, 17u);
-  EXPECT_EQ(stats.evictions, 0u);
-  uint64_t shard_invalidated = 0;
-  size_t shard_entries = 0;
-  for (const EstimateCacheShardStats& shard : stats.shards) {
-    shard_invalidated += shard.invalidated;
-    shard_entries += shard.entries;
-  }
-  EXPECT_EQ(shard_invalidated, stats.invalidated);
-  EXPECT_EQ(shard_entries, stats.entries);
-
-  // The untouched slots still hit; the refitted slot misses.
+  EstimateCache used(options);
+  EstimateCache fresh(options);
   double value = 0.0;
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_FALSE(
-        cache.Lookup(MakeSlotKey(OpType::kSort, Resource::kCpu, i), &value));
-    ASSERT_TRUE(
-        cache.Lookup(MakeSlotKey(OpType::kSort, Resource::kIo, i), &value));
-    EXPECT_EQ(value, 2.0);
-    ASSERT_TRUE(cache.Lookup(MakeSlotKey(OpType::kHashJoin, Resource::kCpu, i),
-                             &value));
-    EXPECT_EQ(value, 3.0);
+  for (int i = 0; i < 4 * 64; ++i) {
+    used.Insert(MakeKey(1, static_cast<double>(i)), 1.0);
+    ASSERT_TRUE(used.Lookup(MakeKey(1, static_cast<double>(i)), &value));
   }
-  EXPECT_FALSE(cache.Lookup(old_version, &value));
+  const EstimateCacheStats before = used.stats();
+  ASSERT_EQ(before.entries, used.capacity());
 
-  // An empty scope is a no-op.
-  cache.EvictOperators({});
-  EXPECT_EQ(cache.stats().entries, 32u);
-  EXPECT_EQ(cache.stats().invalidated, 17u);
-}
-
-TEST(EstimateCacheTest, EvictOperatorsVisitsOnlyMatchingEntries) {
-  // The regression this pins: EvictOperators used to walk the entire LRU of
-  // every shard under the shard mutex — O(entries x ops) with all lookups
-  // blocked — even when the refitted slots held a handful of entries. The
-  // per-slot index must touch exactly the matching entries, so a wide
-  // population of innocent bystanders costs nothing.
-  EstimateCacheOptions options;
-  options.capacity = 64 * 1024;
-  options.shards = 4;
-  EstimateCache cache(options);
-  constexpr int kBystanders = 20000;
-  for (int i = 0; i < kBystanders; ++i) {
-    cache.Insert(MakeSlotKey(OpType::kHashJoin, Resource::kCpu, i), 1.0);
-  }
-  for (int i = 0; i < 8; ++i) {
-    cache.Insert(MakeSlotKey(OpType::kSort, Resource::kIo, i), 2.0);
-  }
-
-  // A wide delta: every slot except the bystanders' is refitted.
-  std::vector<ModelSlotId> wide;
-  for (int op = 0; op < kNumOpTypes; ++op) {
-    for (int r = 0; r < kNumResources; ++r) {
-      if (static_cast<OpType>(op) == OpType::kHashJoin &&
-          static_cast<Resource>(r) == Resource::kCpu) {
-        continue;
-      }
-      wide.emplace_back(static_cast<OpType>(op), static_cast<Resource>(r));
+  // Version-2 trace, several times the capacity, over a key range 1.5x the
+  // capacity: hits, misses and live-entry evictions all occur.
+  std::mt19937_64 rng(11);
+  for (int step = 0; step < 16 * 64; ++step) {
+    const auto key = MakeKey(2, static_cast<double>(rng() % 96));
+    for (EstimateCache* cache : {&used, &fresh}) {
+      if (!cache->Lookup(key, &value)) cache->Insert(key, 2.0);
     }
   }
-  cache.EvictOperators(wide);
 
-  const EstimateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.invalidated, 8u);
-  // The bound: only matching entries were examined under the shard mutex.
-  EXPECT_EQ(stats.invalidate_visited, stats.invalidated);
-  EXPECT_EQ(stats.entries, static_cast<size_t>(kBystanders));
-  double value = 0.0;
-  ASSERT_TRUE(cache.Lookup(MakeSlotKey(OpType::kHashJoin, Resource::kCpu, 17),
-                           &value));
-  EXPECT_EQ(value, 1.0);
-}
-
-TEST(EstimateCacheTest, LookupsStayLiveDuringRepeatedWideEviction) {
-  // Concurrent lookups against a well-populated cache while another thread
-  // hammers wide EvictOperators sweeps: lookups must stay correct and the
-  // eviction work must stay proportional to what it drops (visited ==
-  // invalidated), not to the cache population it scans past.
-  EstimateCacheOptions options;
-  options.capacity = 64 * 1024;
-  options.shards = 4;
-  EstimateCache cache(options);
-  constexpr int kHotKeys = 4096;
-  for (int i = 0; i < kHotKeys; ++i) {
-    cache.Insert(MakeSlotKey(OpType::kHashJoin, Resource::kCpu, i), 1.0);
+  const EstimateCacheStats after = used.stats();
+  const EstimateCacheStats baseline = fresh.stats();
+  ASSERT_EQ(after.shards.size(), baseline.shards.size());
+  for (size_t s = 0; s < after.shards.size(); ++s) {
+    EXPECT_EQ(after.shards[s].hits - before.shards[s].hits,
+              baseline.shards[s].hits)
+        << "shard " << s;
+    EXPECT_EQ(after.shards[s].misses - before.shards[s].misses,
+              baseline.shards[s].misses)
+        << "shard " << s;
+    EXPECT_EQ(after.shards[s].entries, baseline.shards[s].entries)
+        << "shard " << s;
   }
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> wrong{0};
-  std::thread reader([&]() {
-    double value = 0.0;
-    for (int round = 0; round < 200; ++round) {
-      for (int i = 0; i < kHotKeys; i += 64) {
-        if (!cache.Lookup(MakeSlotKey(OpType::kHashJoin, Resource::kCpu, i),
-                          &value) ||
-            value != 1.0) {
-          wrong.fetch_add(1);
-        }
-      }
-    }
-    stop.store(true);
-  });
-  std::thread evictor([&]() {
-    // Refit churn on slots the reader never touches, plus fresh insertions
-    // so the swept slots are never empty. At least one sweep runs even when
-    // the reader finishes before this thread is first scheduled (a loaded
-    // host), so the invalidation counters below always have work to check.
-    const std::vector<ModelSlotId> swept = {
-        {OpType::kSort, Resource::kCpu},
-        {OpType::kSort, Resource::kIo},
-        {OpType::kTableScan, Resource::kCpu},
-    };
-    int serial = 0;
-    do {
-      for (const auto& [op, resource] : swept) {
-        cache.Insert(MakeSlotKey(op, resource, ++serial), 3.0);
-      }
-      cache.EvictOperators(swept);
-    } while (!stop.load());
-  });
-  reader.join();
-  evictor.join();
-
-  EXPECT_EQ(wrong.load(), 0);
-  const EstimateCacheStats stats = cache.stats();
-  EXPECT_GT(stats.invalidated, 0u);
-  EXPECT_EQ(stats.invalidate_visited, stats.invalidated);
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(200 * (kHotKeys / 64)));
-}
-
-TEST(EstimateCacheTest, ClearDropsEntriesKeepsCounters) {
-  EstimateCache cache;
-  cache.Insert(MakeKey(1, 1.0), 1.0);
-  double value = 0.0;
-  ASSERT_TRUE(cache.Lookup(MakeKey(1, 1.0), &value));
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);  // monotonic counters survive Clear
-  EXPECT_FALSE(cache.Lookup(MakeKey(1, 1.0), &value));
+  EXPECT_GT(baseline.hits, 0u);
+  EXPECT_GT(baseline.misses, 0u);
+  EXPECT_GT(baseline.evictions, 0u);
+  // Every version-1 entry is gone: the bound reclaimed them all.
+  for (int i = 0; i < 4 * 64; ++i) {
+    EXPECT_FALSE(used.Lookup(MakeKey(1, static_cast<double>(i)), &value));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +461,8 @@ TEST_F(ServiceCacheTest, PublishInvalidatesMidStream) {
   // The two models genuinely differ, so a stale cache would be visible.
   EXPECT_TRUE(any_changed);
 
-  // Roll back to model A: still correct (fresh misses, then A's values).
+  // Roll back to model A: still correct (A's entries that survived the
+  // swap hit again under their unchanged slot versions).
   ASSERT_TRUE(registry.Activate("default", v1));
   const auto rolled_back = service.EstimateBatch(requests);
   for (size_t i = 0; i < requests.size(); ++i) {

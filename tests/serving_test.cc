@@ -1181,8 +1181,65 @@ TEST_F(ServingTest, FileBackedRegistryRestartRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ServingTest, LoadedLineageNeverReusesAVersionThisRegistryMinted) {
+  // The cache keys entries by slot version, so a registry must never name
+  // two contents with one version. A lineage saved by another registry can
+  // carry versions this one already minted; PublishFromFile must then
+  // full-stamp the loaded model instead of adopting the saved lineage, or
+  // the warm cache would answer with the other model's estimates.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "resest_lineage_guard_test";
+  std::filesystem::remove_all(dir);
+  TrainOptions options;
+  options.mart.num_trees = 15;  // a model that estimates differently
+  const auto model_y = std::make_shared<const ResourceEstimator>(
+      ResourceEstimator::Train(*workload_, options));
+
+  // Registry A mints v1..v3 for model Y and saves it: every saved slot
+  // version is 3.
+  ModelRegistry registry_a;
+  for (int i = 0; i < 3; ++i) registry_a.Publish("default", model_y);
+  ASSERT_EQ(registry_a.Get("default").version, 3u);
+  ASSERT_TRUE(registry_a.SaveActive("default", dir.string()));
+
+  // Registry B mints v1..v3 for model X and warms a service's cache under
+  // slot version 3.
+  ModelRegistry registry_b;
+  for (int i = 0; i < 3; ++i) registry_b.Publish("default", SharedEstimator());
+  ThreadPool pool(2);
+  EstimationService service(&registry_b, &pool);
+  std::vector<EstimateRequest> requests = QueueRequests(Resource::kCpu);
+  const auto io_requests = QueueRequests(Resource::kIo);
+  requests.insert(requests.end(), io_requests.begin(), io_requests.end());
+  const auto warm = service.EstimateBatch(requests);
+  ASSERT_GT(service.cache_stats().entries, 0u);
+
+  const uint64_t loaded = registry_b.PublishFromFile(
+      "default", (dir / "default.model").string());
+  ASSERT_EQ(loaded, 4u);
+  EXPECT_EQ(registry_b.Get("default").SlotVersion(OpType::kSort,
+                                                  Resource::kCpu),
+            loaded);
+
+  const auto served = service.EstimateBatch(requests);
+  ASSERT_EQ(served.size(), requests.size());
+  bool any_changed = false;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(served[i].ok());
+    EXPECT_EQ(served[i].model_version, loaded);
+    EXPECT_EQ(served[i].value,
+              model_y->EstimateQuery(*requests[i].plan, *requests[i].database,
+                                     requests[i].resource))
+        << "request " << i;
+    if (served[i].value != warm[i].value) any_changed = true;
+  }
+  // X and Y really differ, so a stale hit would be visible above.
+  EXPECT_TRUE(any_changed);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
-// Delta publish: incremental refits hot-swapped with scoped invalidation
+// Delta publish: incremental refits hot-swapped under slot-version keys
 // ---------------------------------------------------------------------------
 
 /// Unique (bitwise) feature vectors of one operator type across a workload
@@ -1250,7 +1307,7 @@ TEST_F(ServingTest, DeltaPublishPreservesUntouchedEstimatesAndCacheEntries) {
       trainer.Append(OpType::kSort, Resource::kCpu, row, cpu * 1.5);
     }
   }
-  const auto delta = trainer.RefitAndPublish(&registry, "default", &service);
+  const auto delta = trainer.RefitAndPublish(&registry, "default");
   ASSERT_TRUE(delta);
   ASSERT_EQ(delta.refitted,
             (std::vector<ModelSlotId>{{OpType::kSort, Resource::kCpu}}));
@@ -1323,11 +1380,11 @@ TEST_F(ServingTest, DeltaPublishPreservesUntouchedEstimatesAndCacheEntries) {
   }
 }
 
-TEST_F(ServingTest, ScopedInvalidationReflectsInCacheShardStats) {
-  // Regression for the whole-cache-drop on hot-swap: a delta publish must
-  // leave the untouched operators' entries resident (per-shard entry counts
-  // prove it) and account the dropped ones as `invalidated`, not LRU
-  // evictions.
+TEST_F(ServingTest, DeltaPublishLeavesCacheShardStatsUnchanged) {
+  // A delta publish makes only the refitted slot's entries dead, by giving
+  // that slot a new version; it drops nothing. Entries and evictions stay
+  // where they were until traffic inserts under the new version, and the
+  // per-shard entries still sum to the total.
   ModelRegistry registry;
   ThreadPool pool(2);
   TrainOptions options;
@@ -1345,7 +1402,6 @@ TEST_F(ServingTest, ScopedInvalidationReflectsInCacheShardStats) {
   service.EstimateBatch(QueueRequests(Resource::kIo));
   const EstimateCacheStats warm = service.cache_stats();
   ASSERT_GT(warm.entries, 0u);
-  EXPECT_EQ(warm.invalidated, 0u);
 
   FeatureVector row{};
   row.fill(3.0);
@@ -1353,24 +1409,16 @@ TEST_F(ServingTest, ScopedInvalidationReflectsInCacheShardStats) {
     row[0] = static_cast<double>(i);
     trainer.Append(OpType::kSort, Resource::kCpu, row, 9.0);
   }
-  const auto delta = trainer.RefitAndPublish(&registry, "default", &service);
+  const auto delta = trainer.RefitAndPublish(&registry, "default");
   ASSERT_TRUE(delta);
 
-  const size_t unique_sort_keys =
-      CountUniqueOperatorKeys(*workload_, OpType::kSort, base->mode());
   const EstimateCacheStats swapped = service.cache_stats();
-  // Only the refitted slot's entries were dropped — and they are accounted
-  // as scoped invalidations, not LRU evictions.
-  EXPECT_EQ(swapped.entries, warm.entries - unique_sort_keys);
-  EXPECT_EQ(swapped.invalidated, unique_sort_keys);
+  EXPECT_EQ(swapped.entries, warm.entries);
   EXPECT_EQ(swapped.evictions, warm.evictions);
-  uint64_t shard_invalidated = 0;
   size_t shard_entries = 0;
   for (const EstimateCacheShardStats& shard : swapped.shards) {
-    shard_invalidated += shard.invalidated;
     shard_entries += shard.entries;
   }
-  EXPECT_EQ(shard_invalidated, swapped.invalidated);
   EXPECT_EQ(shard_entries, swapped.entries);
 }
 
@@ -1439,7 +1487,7 @@ TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
   // slice than the whole refit takes, and then nothing raced the swap.
   while (serving.load() < kTrafficThreads) std::this_thread::yield();
 
-  const auto delta = trainer.RefitAndPublish(&registry, "default", &service);
+  const auto delta = trainer.RefitAndPublish(&registry, "default");
   ASSERT_TRUE(delta);
   const uint64_t v2 = delta.version;
   // Let some traffic observe the new version before stopping.

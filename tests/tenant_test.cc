@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -21,6 +22,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -28,6 +30,7 @@
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
 #include "src/serving/tenant_manager.h"
+#include "src/storage/recovery.h"
 #include "src/storage/wal.h"
 #include "src/training/incremental_trainer.h"
 #include "src/workload/runner.h"
@@ -411,6 +414,71 @@ TEST(TenantCrashRecoveryTest, SigkillMidAppendRecoversBothTenantsExactly) {
       << error;
   EXPECT_EQ(alpha_recovery.rows_recovered, alpha_rows);
   EXPECT_EQ(beta_recovery.rows_recovered, beta_rows);
+  std::filesystem::remove_all(root);
+}
+
+TEST_F(TenantTest, DrainAllWritesOneCheckpointAfterTheLastRow) {
+  // DrainAll saves each tenant's model, then DrainWal appends the coverage
+  // checkpoint, fsyncs and seals: one marker per tenant, after its last
+  // row, and a restart recovers the drained directory cleanly.
+  const std::string root = FreshDir("resest_tenant_drain_test");
+  TenantOptions options;
+  options.service.model_name = "drain";
+  options.coalescer.max_rows = 0;
+  options.data_dir = root;
+  options.train = TinyOptions();
+  options.log_bounds = TightBounds();
+  constexpr uint64_t kRows = 12;
+  {
+    ThreadPool pool(2);
+    ModelRegistry registry;
+    TenantManager manager(&registry, &pool, options);
+    ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
+    ASSERT_NE(manager.AddTenant("alpha"), nullptr);
+    ASSERT_GT(manager.PublishToAll(SharedEstimator()), 0u);
+    for (const std::string& id : manager.TenantIds()) {
+      IncrementalTrainer* trainer = manager.Resolve(id)->trainer.get();
+      ASSERT_NE(trainer, nullptr);
+      for (uint64_t i = 0; i < kRows; ++i) {
+        trainer->Append(OpAt(3, i), ResourceAt(i), RowAt(3, i),
+                        LabelAt(3, i));
+      }
+    }
+    ASSERT_TRUE(manager.DrainAll());
+  }
+
+  const std::vector<std::pair<std::string, std::string>> logs = {
+      {root, "drain"}, {root + "/alpha", "drain@alpha"}};
+  for (const auto& [dir, name] : logs) {
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + name + ".model")) << name;
+    std::vector<WalRecordType> types;
+    RecoveryStats stats;
+    ASSERT_TRUE(ReplayObservationLog(
+        dir, name, [&](const WalRecord& r) { types.push_back(r.type); },
+        &stats));
+    EXPECT_TRUE(stats.clean()) << name << ": " << stats.detail;
+    EXPECT_EQ(stats.rows_recovered, kRows) << name;
+    ASSERT_EQ(types.size(), kRows + 1) << name;
+    EXPECT_EQ(types.back(), WalRecordType::kCheckpoint) << name;
+    EXPECT_EQ(std::count(types.begin(), types.end(),
+                         WalRecordType::kCheckpoint),
+              1)
+        << name;
+  }
+
+  // A restarted manager recovers both tenants from the drained directory.
+  ThreadPool pool(2);
+  ModelRegistry registry;
+  TenantManager manager(&registry, &pool, options);
+  RecoveryStats default_recovery;
+  RecoveryStats alpha_recovery;
+  ASSERT_NE(manager.AddTenant(kDefaultTenant, nullptr, &default_recovery),
+            nullptr);
+  ASSERT_NE(manager.AddTenant("alpha", nullptr, &alpha_recovery), nullptr);
+  EXPECT_TRUE(default_recovery.clean()) << default_recovery.detail;
+  EXPECT_TRUE(alpha_recovery.clean()) << alpha_recovery.detail;
+  EXPECT_EQ(default_recovery.rows_recovered, kRows);
+  EXPECT_EQ(alpha_recovery.rows_recovered, kRows);
   std::filesystem::remove_all(root);
 }
 
