@@ -233,10 +233,10 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
                   "fsync calls on the active WAL file.", "counter");
     w.Sample("resest_wal_fsyncs_total", {}, d.wal.fsyncs);
     w.BeginFamily("resest_wal_append_failures_total",
-                  "Observations whose WAL append failed (kept in memory, "
-                  "lost on restart).",
+                  "WAL records whose append was not acknowledged (their "
+                  "observations stay in memory).",
                   "counter");
-    w.Sample("resest_wal_append_failures_total", {}, d.wal_append_failures);
+    w.Sample("resest_wal_append_failures_total", {}, d.wal.append_failures);
     w.BeginFamily("resest_recovery_rows_recovered",
                   "Observation rows replayed from the WAL at startup.",
                   "gauge");

@@ -469,7 +469,7 @@ int main(int argc, char** argv) {
           who.c_str(), drained ? "sealed" : "seal FAILED",
           static_cast<unsigned long long>(d.wal.records_appended),
           static_cast<unsigned long long>(d.wal.segments_sealed),
-          static_cast<unsigned long long>(d.wal_append_failures));
+          static_cast<unsigned long long>(d.wal.append_failures));
     }
   }
 

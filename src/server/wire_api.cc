@@ -390,36 +390,38 @@ bool ParseObserveWireBatch(const JsonValue& body,
   rows->reserve(items->items().size());
   for (size_t i = 0; i < items->items().size(); ++i) {
     const JsonValue& item = items->items()[i];
-    const std::string at = "observations[" + std::to_string(i) + "]";
+    // The row's error prefix is built only on the error path: past row 9 it
+    // outgrows the small-string buffer and would allocate for every row.
+    const auto at = [i] { return "observations[" + std::to_string(i) + "]"; };
     if (!item.is_object()) {
-      *error = at + " must be an object";
+      *error = at() + " must be an object";
       return false;
     }
     if (FindUnknownKey(item, {"op", "resource", "features", "label"},
                        &unknown)) {
-      *error = at + " has unknown field \"" + unknown + "\"";
+      *error = at() + " has unknown field \"" + unknown + "\"";
       return false;
     }
     ObserveWireRow row;
     const JsonValue* op_value = item.Find("op");
     if (op_value == nullptr || !op_value->is_string() ||
         !ParseOpType(op_value->as_string(), &row.op)) {
-      *error = at + ".op must be an operator type name (e.g. \"TableScan\")";
+      *error = at() + ".op must be an operator type name (e.g. \"TableScan\")";
       return false;
     }
     const JsonValue* resource_value = item.Find("resource");
     if (resource_value == nullptr || !resource_value->is_string() ||
         !ParseResource(resource_value->as_string(), &row.resource)) {
-      *error = at + ".resource must be \"CPU\" or \"IO\"";
+      *error = at() + ".resource must be \"CPU\" or \"IO\"";
       return false;
     }
     const JsonValue* feature_values = item.Find("features");
     if (feature_values == nullptr || !feature_values->is_array()) {
-      *error = at + ".features must be an array of numbers";
+      *error = at() + ".features must be an array of numbers";
       return false;
     }
     if (feature_values->items().size() > static_cast<size_t>(kNumFeatures)) {
-      *error = at + ".features has " +
+      *error = at() + ".features has " +
                std::to_string(feature_values->items().size()) +
                " entries; at most " + std::to_string(kNumFeatures) +
                " are defined";
@@ -428,7 +430,7 @@ bool ParseObserveWireBatch(const JsonValue& body,
     for (size_t f = 0; f < feature_values->items().size(); ++f) {
       const JsonValue& fv = feature_values->items()[f];
       if (!fv.is_number()) {
-        *error = at + ".features[" + std::to_string(f) + "] must be a number";
+        *error = at() + ".features[" + std::to_string(f) + "] must be a number";
         return false;
       }
       row.features[f] = fv.as_number();
@@ -436,7 +438,7 @@ bool ParseObserveWireBatch(const JsonValue& body,
     const JsonValue* label = item.Find("label");
     if (label == nullptr || !label->is_number() ||
         !std::isfinite(label->as_number())) {
-      *error = at + ".label must be a finite number";
+      *error = at() + ".label must be a finite number";
       return false;
     }
     row.label = label->as_number();

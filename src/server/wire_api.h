@@ -41,6 +41,7 @@
 
 #include "src/server/json.h"
 #include "src/serving/estimation_service.h"
+#include "src/training/incremental_trainer.h"
 
 namespace resest {
 
@@ -89,12 +90,9 @@ std::string FormatWireError(const std::string& message);
 ///       ...
 ///     ]
 ///   }
-struct ObserveWireRow {
-  OpType op = OpType::kTableScan;
-  Resource resource = Resource::kCpu;
-  FeatureVector features{};
-  double label = 0.0;
-};
+/// A decoded row is the trainer's own row type, so a batch reaches
+/// IncrementalTrainer::Append without a copy.
+using ObserveWireRow = ObservationRow;
 
 /// Parses the body of POST /v1/observe. On failure returns false with a
 /// client-actionable message in *error; *rows is unspecified then. When

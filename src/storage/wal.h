@@ -17,11 +17,19 @@
 // recovery.h) replays sealed segments in sequence order and then the active
 // tail, stopping cleanly at the first torn or corrupt record.
 //
+// Write path: Append takes a batch. Its frames are encoded into one reused
+// buffer and leave in one write() per run, where a run ends at the record
+// after which a one-at-a-time append would fsync (SyncPolicy::kEveryAppend)
+// or seal. So a batch writes the same bytes, into the same files, as the
+// same records appended one by one, with no heap allocation once the
+// buffer has grown to the batch's size.
+//
 // Crash safety: a record is durable once its bytes reach the file (a killed
 // process loses nothing the kernel accepted — only power loss can eat
 // unfsync'd page cache), and fully durable once Sync()/Seal() ran. A crash
-// mid-append leaves a torn tail; Open() truncates the active file back to
-// its longest valid prefix so new appends never land after garbage.
+// mid-write leaves a torn tail: replay keeps the whole records before the
+// tear (a prefix of the batch) and Open() truncates the active file back to
+// that prefix so new appends never land after garbage.
 //
 // Fault injection: WalOptions::fault_hook is the deterministic test seam —
 // it observes every write/fsync/seal-rename and can inject short writes,
@@ -46,7 +54,8 @@
 
 namespace resest {
 
-/// CRC32C (Castagnoli) of `data`, the checksum guarding every WAL record.
+/// CRC32C (Castagnoli) of `data`, the checksum guarding every WAL record
+/// (portable slice-by-8: eight input bytes per table step).
 uint32_t Crc32c(const uint8_t* data, size_t size);
 
 inline constexpr uint32_t kWalMagic = 0x4c415752;  // "RWAL" little-endian
@@ -108,7 +117,7 @@ bool DecodeWalRecord(const uint8_t* payload, size_t size, WalRecord* out);
 // --- Fault injection -------------------------------------------------------
 
 enum class WalFaultOp {
-  kWrite,       ///< About to write() record or header bytes.
+  kWrite,       ///< About to write() a run of record frames, or a header.
   kSync,        ///< About to fsync() the active file.
   kSealRename,  ///< About to rename() the active file to its segment name.
 };
@@ -175,10 +184,16 @@ class WriteAheadLog {
   /// append. False (with *error set) on I/O failure.
   bool Open(std::string* error = nullptr);
 
-  /// Appends one record (framing + CRC added here). False on I/O failure —
+  /// Appends `count` records in order (framing + CRC added here), one
+  /// write() per run (see the file comment). True when every record was
+  /// written (and synced/sealed as the policy asks). False on I/O failure —
   /// after which the log is failed (ok() == false) and further appends
-  /// fail fast; what was already on disk stays recoverable.
-  bool Append(const WalRecord& record);
+  /// fail fast; what was already on disk stays recoverable. Every record
+  /// of the failed write and every record after it counts in
+  /// stats().append_failures; a torn write may still leave a prefix of its
+  /// whole records on disk, which replay recovers.
+  bool Append(const WalRecord* records, size_t count);
+  bool Append(const WalRecord& record) { return Append(&record, 1); }
 
   /// fsyncs the active file.
   bool Sync();
@@ -200,6 +215,8 @@ class WriteAheadLog {
   bool WriteAll(const uint8_t* data, size_t size, bool is_header);
   bool OpenActiveFile(bool fresh, std::string* error);
   WalFaultAction Consult(WalFaultOp op, size_t bytes, bool is_header);
+  /// Appends `record`'s frame (length, CRC32C, payload) to frames_.
+  void EncodeFrame(const WalRecord& record);
 
   const std::string dir_;
   const std::string name_;
@@ -211,6 +228,9 @@ class WriteAheadLog {
   bool failed_ = false;
   WalStats stats_;
   uint64_t fault_counts_[3] = {0, 0, 0};  ///< Per-WalFaultOp call counters.
+  /// One run's encoded frames; cleared, never shrunk, between runs. A run
+  /// ends at a seal, so it holds at most segment_bytes plus one record.
+  std::vector<uint8_t> frames_;
 };
 
 }  // namespace resest

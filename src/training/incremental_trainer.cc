@@ -104,22 +104,19 @@ void IncrementalTrainer::Observe(const ExecutedQuery& executed) {
   // part of the byte-identity contract.
   if (!executed.plan.root || executed.database == nullptr) return;
   const FeatureMode mode = options_.mode;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<ObservationRow> rows;
   VisitPlanOperators(
       executed.plan, [&](const PlanNode& node, const PlanNode* parent) {
-        const FeatureVector row =
+        const FeatureVector features =
             ExtractFeatures(node, parent, *executed.database, mode);
-        const size_t op = static_cast<size_t>(node.type);
         const double labels[kNumResources] = {
             node.actual.cpu, static_cast<double>(node.actual.logical_io)};
         for (size_t r = 0; r < kNumResources; ++r) {
-          // WAL first: a row is never in memory without being on its way
-          // to disk (a failed append is counted and memory continues —
-          // degraded durability, surfaced via durability_stats()).
-          if (wal_ != nullptr) WalAppendRowLocked(op, r, row, labels[r]);
-          ApplyRowLocked(op, r, row, labels[r]);
+          rows.push_back(
+              {node.type, static_cast<Resource>(r), features, labels[r]});
         }
       });
+  Append(rows.data(), rows.size());
 }
 
 void IncrementalTrainer::ObserveAll(
@@ -127,26 +124,29 @@ void IncrementalTrainer::ObserveAll(
   for (const ExecutedQuery& eq : workload) Observe(eq);
 }
 
-void IncrementalTrainer::Append(OpType op, Resource resource,
-                                const FeatureVector& row, double label) {
+void IncrementalTrainer::Append(const ObservationRow* rows, size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t o = static_cast<size_t>(op);
-  const size_t r = static_cast<size_t>(resource);
-  if (wal_ != nullptr) WalAppendRowLocked(o, r, row, label);
-  ApplyRowLocked(o, r, row, label);
-}
-
-void IncrementalTrainer::WalAppendRowLocked(size_t op, size_t resource,
-                                            const FeatureVector& row,
-                                            double label) {
-  WalRecord rec;
-  rec.type = WalRecordType::kObservation;
-  rec.observation.op = static_cast<OpType>(op);
-  rec.observation.resource = static_cast<Resource>(resource);
-  rec.observation.model_version = base_version_;
-  rec.observation.label = label;
-  rec.observation.features = row;
-  if (!wal_->Append(rec)) ++wal_append_failures_;
+  if (wal_ != nullptr) {
+    // WAL first: a row is never in memory without being on its way to
+    // disk. A failed write counts every row it did not acknowledge in the
+    // WAL's append_failures, and memory continues — degraded durability,
+    // surfaced via durability_stats().
+    std::vector<WalRecord> records(count);
+    for (size_t i = 0; i < count; ++i) {
+      WalObservation& o = records[i].observation;
+      o.op = rows[i].op;
+      o.resource = rows[i].resource;
+      o.model_version = base_version_;
+      o.label = rows[i].label;
+      o.features = rows[i].features;
+    }
+    wal_->Append(records.data(), count);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    ApplyRowLocked(static_cast<size_t>(rows[i].op),
+                   static_cast<size_t>(rows[i].resource), rows[i].features,
+                   rows[i].label);
+  }
 }
 
 void IncrementalTrainer::ApplyRowLocked(size_t op, size_t resource,
@@ -477,7 +477,7 @@ IncrementalTrainer::RefitResult IncrementalTrainer::RefitAndPublish(
       rec.refit.covered_rows = log.refit_rows;
       rec.refit.refit_mean = log.refit_mean;
       rec.refit.model_version = result.version;
-      if (!wal_->Append(rec)) ++wal_append_failures_;
+      wal_->Append(rec);
     }
     wal_->Sync();
   }
@@ -516,11 +516,7 @@ bool IncrementalTrainer::Checkpoint(const ModelRegistry& registry,
       // The rows are already durable in the WAL; all a checkpoint adds is
       // the coverage snapshot matching the model just saved, made durable
       // with an fsync.
-      if (!wal_->Append(BuildCheckpointLocked())) {
-        ++wal_append_failures_;
-        return false;
-      }
-      return wal_->Sync();
+      return wal_->Append(BuildCheckpointLocked()) && wal_->Sync();
     }
   }
   // Legacy (non-durable) mode: the full-log image. SaveLogs takes mu_
@@ -571,8 +567,7 @@ uint64_t IncrementalTrainer::Restore(ModelRegistry* registry,
 bool IncrementalTrainer::DrainWal() {
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_ == nullptr) return true;
-  bool ok = wal_->Append(BuildCheckpointLocked());
-  if (!ok) ++wal_append_failures_;
+  const bool ok = wal_->Append(BuildCheckpointLocked());
   // Seal regardless: even with the marker lost, the sealed rows must
   // survive the exit.
   return wal_->Seal() && ok;
@@ -731,7 +726,6 @@ DurabilityStats IncrementalTrainer::durability_stats() const {
   s.memory_peak_bytes = tracker_.peak_bytes();
   s.memory_cap_bytes = tracker_.cap_bytes();
   s.spilled_rows = spilled_rows_;
-  s.wal_append_failures = wal_append_failures_;
   return s;
 }
 

@@ -98,6 +98,15 @@ struct LogBounds {
 inline constexpr size_t kObservationRowBytes =
     sizeof(FeatureVector) + sizeof(double);
 
+/// One observed operator execution: the (operator, resource) slot it feeds
+/// and its training row. The unit of IncrementalTrainer::Append.
+struct ObservationRow {
+  OpType op = OpType::kTableScan;
+  Resource resource = Resource::kCpu;
+  FeatureVector features{};
+  double label = 0.0;
+};
+
 /// One-stop durability/memory observability, exported on /metrics.
 struct DurabilityStats {
   bool durable = false;   ///< EnableDurability() succeeded.
@@ -108,9 +117,6 @@ struct DurabilityStats {
   size_t memory_peak_bytes = 0;
   size_t memory_cap_bytes = 0;
   uint64_t spilled_rows = 0;  ///< Window rows evicted into reservoirs.
-  /// Observations applied in memory whose WAL append failed (they serve
-  /// refits but will not survive a restart).
-  uint64_t wal_append_failures = 0;
 };
 
 /// Owns the per-(OpType, Resource) observation logs and the retrain-only-
@@ -146,16 +152,25 @@ class IncrementalTrainer {
       const std::vector<ExecutedQuery>& workload);
 
   /// Appends one executed query's per-operator feature/label rows to the
-  /// logs (the feedback edge: execute -> observe), WAL-first when durable.
+  /// logs (the feedback edge: execute -> observe) as one Append batch.
   /// Skips queries with no plan or database, exactly as training does.
   void Observe(const ExecutedQuery& executed);
   void ObserveAll(const std::vector<ExecutedQuery>& workload);
 
-  /// Low-level log append for a single slot — the seam for per-operator
-  /// feedback sources (and for tests steering exactly which slots cross
-  /// the refit policy).
+  /// Low-level log append — the seam for per-operator feedback sources
+  /// (POST /v1/observe, and tests steering exactly which slots cross the
+  /// refit policy). Under one hold of the log mutex, the batch goes to the
+  /// WAL first (one WriteAheadLog::Append, so one write() unless a seal
+  /// splits it) and then into memory in order. A failed WAL write counts
+  /// every row it did not acknowledge in durability_stats().wal
+  /// .append_failures, and memory still takes every row (degraded
+  /// durability).
+  void Append(const ObservationRow* rows, size_t count);
   void Append(OpType op, Resource resource, const FeatureVector& row,
-              double label);
+              double label) {
+    const ObservationRow one{op, resource, row, label};
+    Append(&one, 1);
+  }
 
   /// Slots whose logs currently cross the refit policy.
   std::vector<ModelSlotId> AffectedSlots() const;
@@ -293,9 +308,6 @@ class IncrementalTrainer {
   void EvictOldestLocked(ObservationLog* log);
   /// Spills until the tracker is back under its cap (or windows are empty).
   void EnforceCapLocked();
-  /// WAL-appends one observation; caller holds mu_. Counts failures.
-  void WalAppendRowLocked(size_t op, size_t resource, const FeatureVector& row,
-                          double label);
   /// Applies one replayed WAL record; caller holds mu_.
   void ApplyWalRecordLocked(const WalRecord& record);
   /// Full-coverage checkpoint marker of the current state; caller holds mu_.
@@ -335,7 +347,6 @@ class IncrementalTrainer {
   /// the checkpoint marker.
   mutable std::unique_ptr<WriteAheadLog> wal_;
   RecoveryStats recovery_;
-  mutable uint64_t wal_append_failures_ = 0;
 
   /// Serializes refits — and, in RefitAndPublish, the whole
   /// refit-then-publish step — with each other: two concurrent publishers

@@ -10,17 +10,22 @@
 // batches in which every request appears twice, so identity dedup compacts
 // each batch to half its size before chunking.
 //
+// The WAL's write path is held to zero: once its frame buffer has grown, a
+// batched WriteAheadLog::Append encodes, checksums and writes in place.
+//
 // The hook replaces the global operator new/delete for this test binary
 // only. Under ASan/TSan the sanitizer runtime interposes allocation itself,
 // so the hook is compiled out and the test reports itself skipped.
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
+#include "src/storage/wal.h"
 #include "src/training/incremental_trainer.h"
 #include "src/workload/runner.h"
 #include "src/workload/schemas.h"
@@ -180,6 +185,37 @@ TEST(AllocationTest, SteadyStateBatchAllocationsIndependentOfBatchSize) {
   };
   expect_bounded(small, large);
   expect_bounded(small_doubled, large_doubled);
+#endif
+}
+
+TEST(AllocationTest, WarmWalBatchAppendAllocatesNothing) {
+#if defined(RESEST_ALLOC_HOOK_DISABLED)
+  GTEST_SKIP() << "operator-new hook disabled under sanitizers";
+#else
+  const auto dir =
+      std::filesystem::temp_directory_path() / "resest_alloc_wal_batch";
+  std::filesystem::remove_all(dir);
+  std::vector<WalRecord> records(128);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].observation.op = static_cast<OpType>(i % kNumOpTypes);
+    records[i].observation.label = 0.5 * static_cast<double>(i);
+    records[i].observation.features[0] = static_cast<double>(i);
+  }
+  // The default 4 MiB segment: these ~90 KB never seal (a seal opens a
+  // fresh file, which allocates its path and header).
+  WriteAheadLog wal(dir.string(), "log");
+  ASSERT_TRUE(wal.Open());
+  ASSERT_TRUE(wal.Append(records.data(), 128));  // grows the frame buffer
+  for (const size_t count : {size_t{32}, size_t{128}}) {
+    bool ok = false;
+    const uint64_t allocations =
+        CountAllocations([&] { ok = wal.Append(records.data(), count); });
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(allocations, 0u) << "warm append of " << count << " records";
+  }
+  EXPECT_EQ(wal.stats().records_appended, 128u + 32u + 128u);
+  EXPECT_EQ(wal.stats().segments_sealed, 0u);
+  std::filesystem::remove_all(dir);
 #endif
 }
 

@@ -183,6 +183,40 @@ TEST(CrashRecoveryTest, SigkillMidAppendRecoversTheDurablePrefix) {
   EXPECT_LT(rows, kChildRows);
 }
 
+TEST(CrashRecoveryTest, SigkillMidBatchWriteKeepsAWholeRecordPrefix) {
+  // A batch leaves in one write(); a short write tears it. With batches of
+  // 32 rows, the half that reaches the file ends on a record boundary; with
+  // 33 it ends inside a record. Either way recovery keeps the 4 earlier
+  // batches plus the batch's whole records before the tear — the first
+  // B/2 of it — and matches the never-crashed oracle on exactly that.
+  for (const uint64_t batch : {uint64_t{32}, uint64_t{33}}) {
+    const std::string dir = FreshDir("resest_crash_mid_batch");
+    RunChildExpectingSigkill([&]() {
+      IncrementalTrainer trainer(TinyOptions(), RefitPolicy{}, nullptr,
+                                 TightBounds());
+      SeedBlankBaseline(&trainer);
+      WalOptions options;  // default segment size: no seal splits a batch
+      options.fault_hook = [](const WalFaultContext& ctx) {
+        return ctx.op == WalFaultOp::kWrite && !ctx.is_header &&
+                       ctx.call_index == 6  // the 5th batch (#1 is the header)
+                   ? WalFaultAction::kShortWriteThenCrash
+                   : WalFaultAction::kProceed;
+      };
+      if (!trainer.EnableDurability(dir, kLogName, options)) _exit(43);
+      std::vector<ObservationRow> rows(batch);
+      for (uint64_t start = 0; start < kChildRows; start += batch) {
+        for (uint64_t i = 0; i < batch; ++i) {
+          rows[i] = {OpAt(start + i), ResourceAt(start + i), RowAt(start + i),
+                     LabelAt(start + i)};
+        }
+        trainer.Append(rows.data(), rows.size());
+      }
+    });
+    const uint64_t rows = VerifyRecoveryMatchesOracle(dir);
+    EXPECT_EQ(rows, 4 * batch + batch / 2) << "batch of " << batch;
+  }
+}
+
 TEST(CrashRecoveryTest, SigkillAtSealRenameLosesNothing) {
   const std::string dir = FreshDir("resest_crash_mid_seal");
   RunChildExpectingSigkill([&]() {

@@ -1780,6 +1780,122 @@ TEST_F(ServerFrontendTest, ObserveAppendsRowsAndRejectsMalformedBatches) {
   EXPECT_EQ(trainer.TotalPendingRows(), 2u);
 }
 
+TEST_F(ServerFrontendTest, ConcurrentObserveBatchesReplayContiguously) {
+  // Two connections on two I/O loops post observe batches at once. Each
+  // batch is one trainer append under one lock, so the WAL must hold every
+  // batch's rows back to back, in each client's batch order, and count
+  // exactly the rows the clients saw accepted.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "resest_server_observe_race";
+  std::filesystem::remove_all(dir);
+  IncrementalTrainer trainer(TrainOptions{});
+  ASSERT_TRUE(trainer.EnableDurability(dir.string(), "default"));
+  {
+    std::vector<ExecutedQuery> empty;
+    trainer.SeedAndTrain(empty);
+  }
+  frontend_->set_trainer(&trainer);
+  HttpServerOptions options = FastPollOptions();
+  options.io_threads = 2;
+  HttpServer server(
+      [this](const HttpRequest& r, HttpResponseSender respond) {
+        frontend_->HandleAsync(r, std::move(respond));
+      },
+      options);
+  frontend_->set_http_server(&server);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  constexpr int kClients = 2;
+  constexpr int kBatches = 25;
+  constexpr int kRows = 32;
+  // Row r of client c's batch b carries features [c, b, r].
+  const auto batch_body = [](int c, int b) {
+    std::string body = "{\"observations\":[";
+    for (int r = 0; r < kRows; ++r) {
+      if (r > 0) body += ",";
+      body += std::string("{\"op\":\"") +
+              OpTypeName(static_cast<OpType>(r % kNumOpTypes)) +
+              "\",\"resource\":\"CPU\",\"features\":[" +
+              std::to_string(c) + "," + std::to_string(b) + "," +
+              std::to_string(r) + "],\"label\":" + std::to_string(r) + "}";
+    }
+    return body + "]}";
+  };
+  std::atomic<uint64_t> accepted{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c]() {
+      HttpClient client;
+      std::string cerror;
+      if (!client.Connect("127.0.0.1", server.port(), &cerror)) {
+        failures.fetch_add(kBatches);
+        return;
+      }
+      for (int b = 0; b < kBatches; ++b) {
+        HttpClientResponse response;
+        if (client.Post("/v1/observe", batch_body(c, b), &response,
+                        &cerror) &&
+            response.status == 200 &&
+            response.body.find("\"accepted\":32") != std::string::npos) {
+          accepted.fetch_add(kRows);
+        } else {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_EQ(accepted.load(), uint64_t{kClients * kBatches * kRows});
+
+  HttpClient scraper;
+  ASSERT_TRUE(scraper.Connect("127.0.0.1", server.port(), &error)) << error;
+  HttpClientResponse metrics;
+  ASSERT_TRUE(scraper.Get("/metrics", &metrics, &error)) << error;
+  ASSERT_EQ(metrics.status, 200);
+  const std::string family = "\nresest_wal_records_total ";
+  const size_t at = metrics.body.find(family);
+  ASSERT_NE(at, std::string::npos) << metrics.body;
+  EXPECT_EQ(std::strtoull(metrics.body.c_str() + at + family.size(), nullptr,
+                          10),
+            accepted.load());
+  server.Stop();
+  frontend_->set_http_server(nullptr);
+  frontend_->set_trainer(nullptr);
+  ASSERT_TRUE(trainer.FlushWal());
+
+  std::vector<WalObservation> rows;
+  RecoveryStats stats;
+  ASSERT_TRUE(ReplayObservationLog(
+      dir.string(), "default",
+      [&](const WalRecord& record) {
+        if (record.type == WalRecordType::kObservation) {
+          rows.push_back(record.observation);
+        }
+      },
+      &stats));
+  EXPECT_TRUE(stats.clean()) << stats.detail;
+  ASSERT_EQ(rows.size(), accepted.load());
+  int next_batch[kClients] = {0, 0};
+  for (size_t start = 0; start < rows.size(); start += kRows) {
+    const int c = static_cast<int>(rows[start].features[0]);
+    ASSERT_TRUE(c >= 0 && c < kClients) << start;
+    EXPECT_EQ(rows[start].features[1], next_batch[c]) << "client " << c;
+    for (int r = 0; r < kRows; ++r) {
+      const WalObservation& row = rows[start + r];
+      EXPECT_EQ(row.features[0], c) << "row " << start + r;
+      EXPECT_EQ(row.features[1], next_batch[c]) << "row " << start + r;
+      EXPECT_EQ(row.features[2], r) << "row " << start + r;
+    }
+    ++next_batch[c];
+  }
+  EXPECT_EQ(next_batch[0], kBatches);
+  EXPECT_EQ(next_batch[1], kBatches);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // The real binary: SIGTERM drains with zero dropped responses, exit 0.
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 // segment from a newer format version. Every case must recover the longest
 // valid prefix, never crash, and never read past the corruption. Disk-full
 // (ENOSPC) is simulated through the fault hook and must fail cleanly while
-// keeping the on-disk prefix recoverable.
+// keeping the on-disk prefix recoverable. Batched appends must write the
+// same files, byte for byte, as the same records appended one at a time.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include "src/storage/recovery.h"
 #include "src/storage/segment.h"
 #include "src/storage/wal.h"
+#include "src/training/incremental_trainer.h"
 
 namespace resest {
 namespace {
@@ -66,6 +69,36 @@ TEST(Crc32cTest, KnownAnswer) {
   const char* digits = "123456789";
   EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(digits), 9), 0xE3069283u);
   EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+}
+
+// Bit-at-a-time CRC32C: the definition the sliced table loop must match.
+uint32_t BitwiseCrc32c(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32cTest, SliceBy8MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..64 at every start offset 0..7 covers each alignment
+  // and each tail length (0..7 bytes past the last 8-byte step).
+  std::vector<uint8_t> bytes(64 + 8);
+  uint32_t x = 0x9E3779B9u;
+  for (uint8_t& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(Crc32c(bytes.data() + offset, length),
+                BitwiseCrc32c(bytes.data() + offset, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
 }
 
 TEST(WalRecordTest, EncodeDecodeRoundTripsEveryType) {
@@ -442,6 +475,187 @@ TEST(WalFaultTest, ShortWriteLeavesATornTailThatOpenTruncates) {
   const Replayed after = Replay(dir, "log");
   EXPECT_TRUE(after.stats.clean());
   EXPECT_EQ(after.records.size(), 4u);
+}
+
+// --- Batched appends ------------------------------------------------------
+
+size_t FrameBytes(const WalRecord& record) {
+  std::vector<uint8_t> payload;
+  EncodeWalRecord(record, &payload);
+  return kWalRecordFrameBytes + payload.size();
+}
+
+// Every file of `dir`, by name.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> DirFiles(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(ReadFileBytes(entry.path().string(), &bytes));
+    files.emplace_back(entry.path().filename().string(), std::move(bytes));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(WalBatchTest, BatchedAppendsWriteTheSameFilesAsPerRecordAppends) {
+  // Mixed record sizes (a refit marker every 17th record), and a segment
+  // size that seals every ~11 observations, so seals fall mid-batch.
+  std::vector<WalRecord> records;
+  for (int i = 0; i < 150; ++i) {
+    WalRecord rec = ObsRecord(i);
+    if (i % 17 == 5) {
+      rec.type = WalRecordType::kRefitMarker;
+      rec.refit = {OpType::kSort, Resource::kIo, static_cast<uint64_t>(i),
+                   0.5 * i, 3};
+    }
+    records.push_back(rec);
+  }
+  const size_t batches[] = {32, 32, 1, 50, 35};  // sums to 150
+  for (const auto sync : {WalOptions::SyncPolicy::kOnSeal,
+                          WalOptions::SyncPolicy::kEveryAppend}) {
+    const bool every = sync == WalOptions::SyncPolicy::kEveryAppend;
+    WalOptions options;
+    options.sync = sync;
+    options.segment_bytes =
+        kWalFileHeaderBytes + 10 * FrameBytes(records[0]) + 100;
+    const std::string one_dir = FreshDir("resest_wal_batch_one");
+    const std::string batch_dir = FreshDir("resest_wal_batch_many");
+    WalStats one_stats, batch_stats;
+    {
+      WriteAheadLog wal(one_dir, "log", options);
+      ASSERT_TRUE(wal.Open());
+      for (const WalRecord& rec : records) ASSERT_TRUE(wal.Append(rec));
+      one_stats = wal.stats();
+    }
+    {
+      WriteAheadLog wal(batch_dir, "log", options);
+      ASSERT_TRUE(wal.Open());
+      size_t next = 0;
+      for (size_t batch : batches) {
+        ASSERT_TRUE(wal.Append(records.data() + next, batch));
+        next += batch;
+      }
+      ASSERT_EQ(next, records.size());
+      batch_stats = wal.stats();
+    }
+    EXPECT_GT(batch_stats.segments_sealed, 10u) << every;
+    EXPECT_EQ(batch_stats.segments_sealed, one_stats.segments_sealed) << every;
+    EXPECT_EQ(batch_stats.records_appended, one_stats.records_appended);
+    EXPECT_EQ(batch_stats.bytes_appended, one_stats.bytes_appended);
+    // kEveryAppend still fsyncs every record (plus once per seal).
+    EXPECT_EQ(batch_stats.fsyncs, one_stats.fsyncs) << every;
+    if (every) {
+      EXPECT_EQ(batch_stats.fsyncs,
+                records.size() + batch_stats.segments_sealed);
+    }
+    EXPECT_EQ(batch_stats.append_failures, 0u);
+    const auto one_files = DirFiles(one_dir);
+    const auto batch_files = DirFiles(batch_dir);
+    ASSERT_EQ(batch_files.size(), one_files.size()) << every;
+    for (size_t f = 0; f < one_files.size(); ++f) {
+      EXPECT_EQ(batch_files[f].first, one_files[f].first);
+      EXPECT_TRUE(batch_files[f].second == one_files[f].second)
+          << batch_files[f].first << " differs (sync every append: " << every
+          << ")";
+    }
+    const Replayed replay = Replay(batch_dir, "log");
+    EXPECT_TRUE(replay.stats.clean());
+    EXPECT_EQ(replay.records.size(), records.size());
+  }
+}
+
+TEST(WalBatchTest, ABatchIsOneWriteUntilASealEndsItsRun) {
+  const std::string dir = FreshDir("resest_wal_batch_runs");
+  const size_t frame = FrameBytes(ObsRecord(0));
+  std::vector<size_t> record_writes;
+  WalOptions options;
+  // The 40th record fills the first file exactly: it seals there.
+  options.segment_bytes = kWalFileHeaderBytes + 40 * frame;
+  options.fault_hook = [&record_writes](const WalFaultContext& ctx) {
+    if (ctx.op == WalFaultOp::kWrite && !ctx.is_header) {
+      record_writes.push_back(ctx.bytes);
+    }
+    return WalFaultAction::kProceed;
+  };
+  std::vector<WalRecord> records;
+  for (int i = 0; i < 64; ++i) records.push_back(ObsRecord(i));
+  WriteAheadLog wal(dir, "log", options);
+  ASSERT_TRUE(wal.Open());
+  ASSERT_TRUE(wal.Append(records.data(), 32));
+  ASSERT_TRUE(wal.Append(records.data() + 32, 32));
+  EXPECT_EQ(record_writes,
+            (std::vector<size_t>{32 * frame, 8 * frame, 24 * frame}));
+  EXPECT_EQ(wal.stats().segments_sealed, 1u);
+  EXPECT_EQ(wal.stats().records_appended, 64u);
+}
+
+TEST(WalFaultTest, FailedBatchIsStickyAndCountsEveryRecord) {
+  // The WAL alone: the 2nd record write (the second 32-record batch)
+  // fails without touching the file.
+  {
+    const std::string dir = FreshDir("resest_wal_batch_fail");
+    WalOptions options;
+    int writes = 0;
+    options.fault_hook = [&writes](const WalFaultContext& ctx) {
+      if (ctx.op != WalFaultOp::kWrite || ctx.is_header) {
+        return WalFaultAction::kProceed;
+      }
+      return ++writes == 2 ? WalFaultAction::kFail : WalFaultAction::kProceed;
+    };
+    std::vector<WalRecord> records;
+    for (int i = 0; i < 32; ++i) records.push_back(ObsRecord(i));
+    WriteAheadLog wal(dir, "log", options);
+    ASSERT_TRUE(wal.Open());
+    ASSERT_TRUE(wal.Append(records.data(), 32));
+    EXPECT_FALSE(wal.Append(records.data(), 32));
+    EXPECT_FALSE(wal.ok());
+    EXPECT_EQ(wal.stats().append_failures, 32u);
+    EXPECT_EQ(wal.stats().records_appended, 32u);
+    EXPECT_FALSE(wal.Append(records.data(), 5));  // sticky: fails fast
+    EXPECT_EQ(wal.stats().append_failures, 37u);
+    const Replayed replay = Replay(dir, "log");
+    EXPECT_TRUE(replay.stats.clean());
+    EXPECT_EQ(replay.records.size(), 32u);
+  }
+  // Through the trainer: a batch split by a seal whose second run fails.
+  // The first run's 10 rows are written; the other 22 are counted, and
+  // memory still takes all 32.
+  {
+    const std::string dir = FreshDir("resest_wal_batch_fail_trainer");
+    std::vector<ObservationRow> rows(32);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i].op = OpType::kSort;
+      rows[i].resource = Resource::kCpu;
+      rows[i].features[0] = static_cast<double>(i);
+      rows[i].label = 1.0 + static_cast<double>(i);
+    }
+    WalOptions options;
+    options.segment_bytes =
+        kWalFileHeaderBytes + 10 * FrameBytes(ObsRecord(0));
+    int writes = 0;
+    options.fault_hook = [&writes](const WalFaultContext& ctx) {
+      if (ctx.op != WalFaultOp::kWrite || ctx.is_header) {
+        return WalFaultAction::kProceed;
+      }
+      return ++writes == 2 ? WalFaultAction::kFail : WalFaultAction::kProceed;
+    };
+    IncrementalTrainer trainer(TrainOptions{});
+    ASSERT_TRUE(trainer.EnableDurability(dir, "log", options));
+    trainer.Append(rows.data(), rows.size());
+    DurabilityStats stats = trainer.durability_stats();
+    EXPECT_FALSE(stats.wal_ok);
+    EXPECT_EQ(stats.wal.records_appended, 10u);
+    EXPECT_EQ(stats.wal.segments_sealed, 1u);
+    EXPECT_EQ(stats.wal.append_failures, 22u);
+    EXPECT_EQ(trainer.LogStats(OpType::kSort, Resource::kCpu).rows, 32u);
+    trainer.Append(rows.data(), 4);  // sticky: every row counts
+    stats = trainer.durability_stats();
+    EXPECT_EQ(stats.wal.append_failures, 26u);
+    const Replayed replay = Replay(dir, "log");
+    EXPECT_TRUE(replay.stats.clean());
+    EXPECT_EQ(replay.records.size(), 10u);
+  }
 }
 
 TEST(WalRecoveryTest, MissingDirectoryIsACleanEmptyReplay) {
